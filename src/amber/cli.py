@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
@@ -158,7 +159,10 @@ def _write_json(path, blob):
 
 def _load_config_file(path):
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except ValueError as exc:
+            raise DataValidationError(f"malformed JSON config ({exc})", path=path) from None
     if isinstance(blob, dict) and "config" in blob and "command" in blob:
         blob = blob["config"]  # accept a prior manifest
     if not isinstance(blob, dict):
@@ -254,7 +258,7 @@ def cmd_gen(ns, parser):
     save_jsonl(ds, ns.out)
     manifest = _manifest(
         "gen",
-        cfg.to_dict(),
+        asdict(cfg),
         dataset_sha=_sha256_file(ns.out),
         execution={"outputs": {"dataset": str(ns.out)}},
     )
@@ -405,13 +409,10 @@ def cmd_compare(ns, parser):
     print(table)
 
     if ns.out:
-        import csv as _csv
-
-        with open(ns.out, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(["metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"])
-            for name, b, c, delta, rel in rows:
-                writer.writerow([name, repr(b), repr(c), repr(delta), "" if rel is None else repr(rel)])
+        header = ["metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
+        cells = [[name, repr(b), repr(c), repr(delta), "" if rel is None else repr(rel)]
+                 for name, b, c, delta, rel in rows]
+        Path(ns.out).write_text(evalreport.csv_text(header, cells), encoding="utf-8")
     return EXIT_OK
 
 
@@ -445,14 +446,10 @@ def cmd_bins(ns, parser):
                 row.append(repr(cell["mean"]) if cell else "")
         rows.append(row)
 
-    print(",".join(header))
-    for row in rows:
-        print(",".join(str(x) for x in row))
+    text = evalreport.csv_text(header, rows)
+    print(text, end="")
     if ns.out:
-        with open(ns.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(str(x) for x in row) + "\n")
+        Path(ns.out).write_text(text, encoding="utf-8")
     return EXIT_OK
 
 

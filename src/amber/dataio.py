@@ -14,7 +14,7 @@ bookkeeping fields.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,45 +38,74 @@ class Sample:
     fold: int
 
 
+def _soft_labels(votes: np.ndarray) -> np.ndarray:
+    """Rows of vote counts normalized to distributions, y_c = n_c / N.
+
+    The second division repeats the renormalization a `SoftLabel` applies,
+    which can move values by an ulp; keeping it keeps labels bit-equal to
+    `aggregate_votes`.
+    """
+    q = votes / votes.sum(axis=1, keepdims=True)
+    return q / q.sum(axis=1, keepdims=True)
+
+
 @dataclass
 class Dataset:
-    samples: list
-    n_classes: int
-    dim_a: int
-    dim_t: int
+    """Columns of per-sample data; row i belongs to fold i % fold_count.
+
+    `y` (soft labels) is derived from `votes` once, at construction.
+    """
+
+    ids: np.ndarray
+    h_a: np.ndarray
+    h_t: np.ndarray
+    votes: np.ndarray
     fold_count: int
 
     def __post_init__(self):
         if self.fold_count < 1:
             raise ValueError("fold_count must be >= 1")
-        if self.samples:
-            present = {s.fold for s in self.samples}
-            if present != set(range(self.fold_count)):
-                raise ValueError("folds must partition the samples with every fold non-empty")
+        if not len(self.ids) == len(self.h_a) == len(self.h_t) == len(self.votes):
+            raise ValueError("dataset columns must have the same number of rows")
+        if 0 < len(self.ids) < self.fold_count:
+            raise ValueError("folds must partition the samples with every fold non-empty")
+        self.y = _soft_labels(self.votes)
 
     def __len__(self):
-        return len(self.samples)
+        return len(self.ids)
 
-    def label_matrix(self) -> np.ndarray:
-        return np.stack([s.y.probs for s in self.samples])
+    @property
+    def n_classes(self):
+        return self.votes.shape[1]
+
+    @property
+    def dim_a(self):
+        return self.h_a.shape[1]
+
+    @property
+    def dim_t(self):
+        return self.h_t.shape[1]
+
+    @property
+    def samples(self) -> list:
+        """Per-sample view of the columns, built on each access."""
+        rows = zip(self.ids, self.h_a, self.h_t, map(RaterVotes, self.votes))
+        return [
+            Sample(ident, h_a, h_t, votes, aggregate_votes(votes), i % self.fold_count)
+            for i, (ident, h_a, h_t, votes) in enumerate(rows)
+        ]
 
     def matrices(self, indices=None):
         """(h_a, h_t, y) matrices for the given sample indices (all by default)."""
-        samples = self.samples if indices is None else [self.samples[i] for i in indices]
-        h_a = np.stack([s.h_a for s in samples])
-        h_t = np.stack([s.h_t for s in samples])
-        y = np.stack([s.y.probs for s in samples])
-        return h_a, h_t, y
+        if indices is None:
+            return self.h_a, self.h_t, self.y
+        return self.h_a[indices], self.h_t[indices], self.y[indices]
 
     def with_fold_count(self, fold_count: int) -> "Dataset":
         """Re-partition by record order into a different number of folds."""
-        if not 1 <= fold_count <= len(self.samples):
-            raise ValueError(f"fold_count must be in [1, {len(self.samples)}]")
-        samples = [
-            Sample(s.id, s.h_a, s.h_t, s.votes, s.y, i % fold_count)
-            for i, s in enumerate(self.samples)
-        ]
-        return Dataset(samples, self.n_classes, self.dim_a, self.dim_t, fold_count)
+        if not 1 <= fold_count <= len(self):
+            raise ValueError(f"fold_count must be in [1, {len(self)}]")
+        return replace(self, fold_count=fold_count)
 
 
 @dataclass
@@ -105,20 +134,6 @@ class SynthConfig:
             raise ValueError("noise_sigma must be >= 0")
         if self.n_samples < self.fold_count:
             raise ValueError("need at least one sample per fold")
-
-    def to_dict(self):
-        return {
-            "n_samples": self.n_samples,
-            "n_classes": self.n_classes,
-            "dim_a": self.dim_a,
-            "dim_t": self.dim_t,
-            "n_raters": self.n_raters,
-            "ambiguity_alpha": self.ambiguity_alpha,
-            "conflict_rate": self.conflict_rate,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-            "fold_count": self.fold_count,
-        }
 
 
 def class_anchors(rng, n_classes: int, dim: int) -> np.ndarray:
@@ -156,27 +171,25 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     sd_a = cfg.noise_sigma / np.sqrt(cfg.dim_a)
     sd_t = cfg.noise_sigma / np.sqrt(cfg.dim_t)
 
-    samples = []
+    n = cfg.n_samples
+    h_a = np.empty((n, cfg.dim_a))
+    h_t = np.empty((n, cfg.dim_t))
+    votes = np.empty((n, cfg.n_classes), dtype=np.int64)
     alpha = np.full(cfg.n_classes, cfg.ambiguity_alpha)
-    for i in range(cfg.n_samples):
+    for i in range(n):
         pi = rng.dirichlet(alpha)
-        votes = sample_votes(rng, pi, cfg.n_raters)
+        votes[i] = sample_votes(rng, pi, cfg.n_raters).counts
         c_t = int(np.argmax(pi))
         c_a = c_t
         if rng.random() < cfg.conflict_rate:
             offset = int(rng.integers(1, cfg.n_classes))
             c_a = (c_t + offset) % cfg.n_classes
-        h_a = anchors_a[c_a] + sd_a * rng.standard_normal(cfg.dim_a)
-        h_t = anchors_t[c_t] + sd_t * rng.standard_normal(cfg.dim_t)
-        samples.append(
-            Sample(f"synth-{i:06d}", h_a, h_t, votes, aggregate_votes(votes), fold=0)
-        )
+        h_a[i] = anchors_a[c_a] + sd_a * rng.standard_normal(cfg.dim_a)
+        h_t[i] = anchors_t[c_t] + sd_t * rng.standard_normal(cfg.dim_t)
 
-    order = rng.permutation(cfg.n_samples)
-    shuffled = [samples[j] for j in order]
-    for pos, s in enumerate(shuffled):
-        s.fold = pos % cfg.fold_count
-    return Dataset(shuffled, cfg.n_classes, cfg.dim_a, cfg.dim_t, cfg.fold_count)
+    order = rng.permutation(n)
+    ids = np.array([f"synth-{i:06d}" for i in range(n)], dtype=object)
+    return Dataset(ids[order], h_a[order], h_t[order], votes[order], cfg.fold_count)
 
 
 def fold_split(ds: Dataset, fold: int):
@@ -185,19 +198,14 @@ def fold_split(ds: Dataset, fold: int):
         raise ValueError("cross-validation splits need at least 3 folds")
     if not 0 <= fold < ds.fold_count:
         raise ValueError(f"fold must be in [0, {ds.fold_count}), got {fold}")
+    folds = np.arange(len(ds)) % ds.fold_count
     val_fold = (fold + 1) % ds.fold_count
 
-    def subset(pred):
-        chosen = [s for s in ds.samples if pred(s.fold)]
-        renumbered = [
-            Sample(s.id, s.h_a, s.h_t, s.votes, s.y, 0) for s in chosen
-        ]
-        return Dataset(renumbered, ds.n_classes, ds.dim_a, ds.dim_t, 1)
+    def subset(mask):
+        return Dataset(ds.ids[mask], ds.h_a[mask], ds.h_t[mask], ds.votes[mask], 1)
 
-    train = subset(lambda f: f != fold and f != val_fold)
-    val = subset(lambda f: f == val_fold)
-    test = subset(lambda f: f == fold)
-    return train, val, test
+    train = subset((folds != fold) & (folds != val_fold))
+    return train, subset(folds == val_fold), subset(folds == fold)
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +223,8 @@ def save_jsonl(ds: Dataset, path):
             "folds": ds.fold_count,
         }
         fh.write(json.dumps(header) + "\n")
-        for s in ds.samples:
-            record = {
-                "id": s.id,
-                "h_a": s.h_a.tolist(),
-                "h_t": s.h_t.tolist(),
-                "votes": s.votes.counts.tolist(),
-            }
+        for ident, h_a, h_t, votes in zip(ds.ids, ds.h_a.tolist(), ds.h_t.tolist(), ds.votes.tolist()):
+            record = {"id": ident, "h_a": h_a, "h_t": h_t, "votes": votes}
             fh.write(json.dumps(record) + "\n")
 
 
@@ -235,35 +238,35 @@ def load_jsonl(path) -> Dataset:
     header = _parse_json(lines[0], 1, path)
     if header.get("schema") != SCHEMA:
         raise DataValidationError(f"unknown schema {header.get('schema')!r}", line=1, path=path)
-    try:
-        n_classes = int(header["C"])
-        dim_a = int(header["dim_a"])
-        dim_t = int(header["dim_t"])
-        folds = int(header["folds"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataValidationError(f"bad header: {exc}", line=1, path=path) from None
+    for key in ("C", "dim_a", "dim_t", "folds"):
+        if type(header.get(key)) is not int:
+            raise DataValidationError(f"bad header: {key!r} must be an integer", line=1, path=path)
+    n_classes, dim_a, dim_t, folds = header["C"], header["dim_a"], header["dim_t"], header["folds"]
     if n_classes < 2 or dim_a < 1 or dim_t < 1 or folds < 1:
         raise DataValidationError("header dimensions out of range", line=1, path=path)
 
-    samples = []
+    # One row per line at most; blank lines leave unused rows at the end.
+    rows = len(lines) - 1
+    h_a = np.empty((rows, dim_a))
+    h_t = np.empty((rows, dim_t))
+    votes = np.empty((rows, n_classes), dtype=np.int64)
+    ids = []
     seen_ids = set()
-    for idx, raw in enumerate(lines[1:]):
-        line_no = idx + 2
+    for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
         record = _parse_json(raw, line_no, path)
-        sample = _parse_record(record, n_classes, dim_a, dim_t, line_no, path)
-        if sample.id in seen_ids:
-            raise DataValidationError(f"duplicate id {sample.id!r}", line=line_no, path=path)
-        seen_ids.add(sample.id)
-        sample.fold = len(samples) % folds
-        samples.append(sample)
+        i = len(ids)
+        sample_id = _parse_record(record, h_a[i], h_t[i], votes[i], line_no, path)
+        if sample_id in seen_ids:
+            raise DataValidationError(f"duplicate id {sample_id!r}", line=line_no, path=path)
+        seen_ids.add(sample_id)
+        ids.append(sample_id)
 
-    if len(samples) < folds:
-        raise DataValidationError(
-            f"{len(samples)} records cannot fill {folds} folds", path=path
-        )
-    return Dataset(samples, n_classes, dim_a, dim_t, folds)
+    n = len(ids)
+    if n < folds:
+        raise DataValidationError(f"{n} records cannot fill {folds} folds", path=path)
+    return Dataset(np.array(ids, dtype=object), h_a[:n], h_t[:n], votes[:n], folds)
 
 
 def _parse_json(raw, line_no, path):
@@ -276,7 +279,13 @@ def _parse_json(raw, line_no, path):
     return value
 
 
-def _parse_record(record, n_classes, dim_a, dim_t, line_no, path):
+# JSON numbers parse to these types; bool, str, list and None are rejected.
+_NUMBER_TYPES = {int, float}
+
+
+def _parse_record(record, h_a, h_t, votes, line_no, path):
+    """Validate one record into the given rows; returns its id."""
+
     def fail(msg):
         raise DataValidationError(msg, line=line_no, path=path)
 
@@ -284,34 +293,38 @@ def _parse_record(record, n_classes, dim_a, dim_t, line_no, path):
     if not isinstance(sample_id, str) or not sample_id:
         fail("missing or invalid 'id'")
 
-    def vector(key, dim):
+    def vector(key, out):
         v = record.get(key)
-        if not isinstance(v, list) or len(v) != dim:
-            fail(f"'{key}' must be a list of length {dim}")
-        arr = np.asarray(v, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not isinstance(v, list) or len(v) != len(out):
+            fail(f"'{key}' must be a list of length {len(out)}")
+        if not set(map(type, v)) <= _NUMBER_TYPES:
+            fail(f"'{key}' entries must be numbers")
+        try:
+            out[:] = v
+        except OverflowError:  # an integer literal beyond the float range
             fail(f"non-finite values in '{key}'")
-        return arr
+        if not np.all(np.isfinite(out)):
+            fail(f"non-finite values in '{key}'")
 
-    h_a = vector("h_a", dim_a)
-    h_t = vector("h_t", dim_t)
+    vector("h_a", h_a)
+    vector("h_t", h_t)
 
     raw_votes = record.get("votes")
-    if not isinstance(raw_votes, list) or len(raw_votes) != n_classes:
-        fail(f"'votes' must be a list of length {n_classes}")
-    if not all(isinstance(v, int) and v >= 0 for v in raw_votes):
+    if not isinstance(raw_votes, list) or len(raw_votes) != len(votes):
+        fail(f"'votes' must be a list of length {len(votes)}")
+    if not set(map(type, raw_votes)) <= {int} or min(raw_votes) < 0:
         fail("'votes' entries must be non-negative integers")
-    try:
-        votes = RaterVotes(raw_votes)
-    except ValueError as exc:
-        fail(f"invalid votes: {exc}")
-    y = aggregate_votes(votes)
+    total = sum(raw_votes)
+    if total < 1:
+        fail("invalid votes: at least one rater vote is required")
+    if total >= 2**63:
+        fail("invalid votes: the vote total exceeds the int64 range")
+    votes[:] = raw_votes
 
     if "y" in record:
-        stored = record["y"]
-        if not isinstance(stored, list) or len(stored) != n_classes:
-            fail(f"'y' must be a list of length {n_classes}")
-        if np.max(np.abs(np.asarray(stored, dtype=np.float64) - y.probs)) > Y_CROSSCHECK_TOL:
+        stored = np.empty(len(votes))
+        vector("y", stored)
+        if np.max(np.abs(stored - _soft_labels(votes[np.newaxis])[0])) > Y_CROSSCHECK_TOL:
             fail("stored 'y' disagrees with normalized votes")
 
-    return Sample(sample_id, h_a, h_t, votes, y, fold=0)
+    return sample_id

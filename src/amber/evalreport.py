@@ -1,6 +1,6 @@
 """Distributional and classification metrics, entropy binning, report emission.
 
-JS and BC are means of the per-sample `distlib` values, sharing one code
+JS and BC are means of the row-wise `distlib` values, sharing one code
 path with the losses. R-squared is a pooled goodness-of-fit over every
 (sample, class) cell against the class-mean baseline; the reported value is
 clamped to [0, 1] while the raw value is kept alongside for audit. Hard
@@ -13,11 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import distlib
+from .errors import DataValidationError
 
 METRIC_ORDER = ("JS", "BC", "R2", "R2_raw", "F1_macro", "WF1", "ACC")
 LOWER_IS_BETTER = ("JS",)
@@ -36,16 +37,6 @@ class EvalReport:
     bins: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "system": self.system,
-            "fold": self.fold,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "bins": self.bins,
-            "provenance": self.provenance,
-        }
-
     @classmethod
     def from_dict(cls, blob):
         return cls(
@@ -59,22 +50,35 @@ class EvalReport:
 
 
 def _as_matrix(rows) -> np.ndarray:
-    if isinstance(rows, np.ndarray) and rows.ndim == 2:
-        return rows.astype(np.float64, copy=False)
-    out = []
-    for r in rows:
-        out.append(r.probs if isinstance(r, distlib.SoftLabel) else np.asarray(r, dtype=np.float64))
-    return np.stack(out)
+    """(n, C) float64 matrix of distributions, one per row.
+
+    Rows are checked as a `SoftLabel` checks one: finite, non-negative and
+    summing to one within `distlib.SUM_TOLERANCE`.
+    """
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
+        rows = np.stack([r.probs if isinstance(r, distlib.SoftLabel) else r for r in rows])
+    m = rows.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(m)) or np.any(m < 0):
+        raise ValueError("distribution entries must be finite and non-negative")
+    if np.any(np.abs(m.sum(axis=1) - 1.0) > distlib.SUM_TOLERANCE):
+        raise ValueError(f"distribution rows must sum to one within {distlib.SUM_TOLERANCE}")
+    return m
 
 
 def dist_metrics(preds, targets) -> dict:
-    """JS / BC / R2 over a split; R2 is missing when all targets coincide."""
+    """JS / BC / R2 over a split; R2 is missing when all targets coincide.
+
+    JS and BC are row means over renormalized rows, equal to the means of
+    `distlib.js_divergence` / `distlib.bhattacharyya` per sample.
+    """
     p = _as_matrix(preds)
     y = _as_matrix(targets)
     if p.shape != y.shape or p.shape[0] < 1:
         raise ValueError(f"prediction/target shapes differ: {p.shape} vs {y.shape}")
-    js = float(np.mean([distlib.js_divergence(p[i], y[i]) for i in range(len(p))]))
-    bc = float(np.mean([distlib.bhattacharyya(p[i], y[i]) for i in range(len(p))]))
+    p_norm = p / p.sum(axis=1, keepdims=True)
+    y_norm = y / y.sum(axis=1, keepdims=True)
+    js = float(distlib.js_divergence_rows(p_norm, y_norm).mean())
+    bc = float(distlib.bhattacharyya_rows(p_norm, y_norm).mean())
     y_bar = y.mean(axis=0)
     ss_tot = float(((y - y_bar) ** 2).sum())
     if ss_tot == 0.0:
@@ -83,10 +87,6 @@ def dist_metrics(preds, targets) -> dict:
         r2_raw = 1.0 - float(((y - p) ** 2).sum()) / ss_tot
         r2 = min(max(r2_raw, 0.0), 1.0)
     return {"JS": js, "BC": bc, "R2": r2, "R2_raw": r2_raw}
-
-
-def hard_labels(rows) -> np.ndarray:
-    return np.argmax(_as_matrix(rows), axis=1)
 
 
 def cls_metrics(preds, targets) -> dict:
@@ -159,6 +159,10 @@ def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
 # aggregation and emission
 
 
+def _stats(values) -> dict:
+    return {"mean": float(np.mean(values)), "std": float(np.std(values)), "n": len(values)}
+
+
 def aggregate(reports) -> dict:
     """Mean/std (population) per metric over runs, overall and per bin."""
     if not reports:
@@ -167,11 +171,7 @@ def aggregate(reports) -> dict:
     for name in METRIC_ORDER:
         values = [r.metrics[name] for r in reports if r.metrics.get(name) is not None]
         if values:
-            metrics[name] = {
-                "mean": float(np.mean(values)),
-                "std": float(np.std(values)),
-                "n": len(values),
-            }
+            metrics[name] = _stats(values)
     bins = []
     n_bins = max((len(r.bins) for r in reports), default=0)
     for b in range(n_bins):
@@ -188,11 +188,7 @@ def aggregate(reports) -> dict:
                 if row["metrics"] is not None and row["metrics"].get(name) is not None
             ]
             if values:
-                cell["metrics"][name] = {
-                    "mean": float(np.mean(values)),
-                    "std": float(np.std(values)),
-                    "n": len(values),
-                }
+                cell["metrics"][name] = _stats(values)
         bins.append(cell)
     return {"metrics": metrics, "bins": bins}
 
@@ -206,35 +202,42 @@ def _order_key(value):
     return (0, int(text), "") if text.lstrip("-").isdigit() else (1, 0, text)
 
 
-def render_csv(reports, summary) -> str:
+def csv_text(header, rows) -> str:
+    """Rows as CSV text with "\n" line ends, quoting only where needed."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def render_csv(reports, summary) -> str:
+    rows = []
     for r in sorted(reports, key=lambda r: (str(r.system), _order_key(r.fold), _order_key(r.seed))):
         for name in METRIC_ORDER:
             if r.metrics.get(name) is None:
                 continue
-            writer.writerow([r.system, r.fold, r.seed, "all", name, _fmt(r.metrics[name]), "", ""])
+            rows.append([r.system, r.fold, r.seed, "all", name, _fmt(r.metrics[name]), "", ""])
         for row in r.bins:
-            writer.writerow([r.system, r.fold, r.seed, row["bin"], "count", row["count"], "", ""])
+            rows.append([r.system, r.fold, r.seed, row["bin"], "count", row["count"], "", ""])
             if row["metrics"] is None:
                 continue
             for name in METRIC_ORDER:
                 if row["metrics"].get(name) is None:
                     continue
-                writer.writerow(
+                rows.append(
                     [r.system, r.fold, r.seed, row["bin"], name, _fmt(row["metrics"][name]), "", ""]
                 )
     system = reports[0].system if reports else ""
     for name, cell in summary["metrics"].items():
-        writer.writerow([system, "all", "all", "all", name, "", _fmt(cell["mean"]), _fmt(cell["std"])])
+        rows.append([system, "all", "all", "all", name, "", _fmt(cell["mean"]), _fmt(cell["std"])])
     for row in summary["bins"]:
-        writer.writerow([system, "all", "all", row["bin"], "count", row["count"], "", ""])
+        rows.append([system, "all", "all", row["bin"], "count", row["count"], "", ""])
         for name, cell in row["metrics"].items():
-            writer.writerow(
+            rows.append(
                 [system, "all", "all", row["bin"], name, "", _fmt(cell["mean"]), _fmt(cell["std"])]
             )
-    return buf.getvalue()
+    return csv_text(CSV_COLUMNS, rows)
 
 
 def render_markdown(reports, summary) -> str:
@@ -263,7 +266,7 @@ def render_markdown(reports, summary) -> str:
 
 def render_json(reports, summary) -> str:
     blob = {
-        "reports": [r.to_dict() for r in reports],
+        "reports": [asdict(r) for r in reports],
         "aggregate": summary,
     }
     return json.dumps(blob, indent=2) + "\n"
@@ -286,5 +289,12 @@ def emit_report(reports, path, fmt: str):
 def load_report(path):
     """Read back a JSON report: (reports, aggregate)."""
     with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    return [EvalReport.from_dict(r) for r in blob["reports"]], blob["aggregate"]
+        try:
+            blob = json.load(fh)
+            reports = [EvalReport.from_dict(r) for r in blob["reports"]]
+            summary = blob["aggregate"]
+            if not isinstance(summary["metrics"], dict) or not isinstance(summary["bins"], list):
+                raise TypeError("aggregate needs a 'metrics' object and a 'bins' list")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataValidationError(f"not a report file ({type(exc).__name__}: {exc})", path=path) from None
+    return reports, summary

@@ -40,15 +40,6 @@ class LossConfig:
         if self.mai_expert_grad not in ("detached", "coupled"):
             raise ValueError(f"mai_expert_grad must be 'detached' or 'coupled', got {self.mai_expert_grad!r}")
 
-    def to_dict(self):
-        return {
-            "lambda_rai": self.lambda_rai,
-            "lambda_mai": self.lambda_mai,
-            "kappa": self.kappa,
-            "expert_supervision": self.expert_supervision,
-            "mai_expert_grad": self.mai_expert_grad,
-        }
-
 
 @dataclass
 class LossBreakdown:
@@ -126,8 +117,8 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     total = lambda_rai * rai + lambda_mai * mai, plus a unit-weight JS pull
     of each expert toward the labels when expert_supervision = "rai" (the
     expert divergences are only informative if something trains the experts).
-    A zero lambda_mai skips the consistency term entirely, so the graph and
-    its gradients reduce exactly to the rater term.
+    A zero lambda_mai leaves the consistency term out of the total (its value
+    is still logged), so the gradients reduce exactly to the rater term.
     """
     if student not in MODALITIES:
         raise ValueError(f"unknown student {student!r}")
@@ -142,18 +133,10 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     breakdown.rai = float(rai_node.data)
     total = ad.scalar_mul(cfg.lambda_rai, rai_node)
 
+    mai_node, breakdown.u, breakdown.d = mai_loss(s, experts, y, cfg)
+    breakdown.mai = float(mai_node.data)
     if cfg.lambda_mai > 0:
-        mai_node, u, d = mai_loss(s, experts, y, cfg)
-        breakdown.mai = float(mai_node.data)
-        breakdown.u = u
-        breakdown.d = d
         total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai_node))
-    else:
-        breakdown.d = {m: float(distlib.js_divergence_rows(p.data, y).mean()) for m, p in experts.items()}
-        breakdown.u = expert_weights(breakdown.d, cfg.kappa)
-        breakdown.mai = float(
-            sum(breakdown.u[m] * distlib.js_divergence_rows(s.data, p.data).mean() for m, p in experts.items())
-        )
 
     if cfg.expert_supervision == "rai":
         y_const = ad.constant(y)
@@ -181,7 +164,7 @@ def class_weights_from(train) -> np.ndarray:
     1 / max(freq_c, 1e-6) scaled so their mean is one. Accepts a Dataset or
     a plain (n, C) matrix of soft labels.
     """
-    y = train.label_matrix() if hasattr(train, "label_matrix") else np.asarray(train, dtype=np.float64)
+    y = np.asarray(getattr(train, "y", train), dtype=np.float64)
     if y.ndim != 2 or y.shape[0] == 0:
         raise ValueError("class weights need a non-empty (n, C) label matrix")
     freq = y.sum(axis=0) / y.sum()

@@ -23,7 +23,7 @@ from . import evalreport
 from .dataio import Dataset, fold_split
 from .errors import NumericalAbortError
 from .losses import LossConfig, amber_loss, cbce_loss, class_weights_from
-from .model import ModelConfig, forward_all, init_params, wrap_params
+from .model import ModelConfig, forward_all, init_params, predict, wrap_params
 
 OBJECTIVES = ("amber", "cbce")
 
@@ -57,22 +57,6 @@ class TrainConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("at least one seed is required")
-
-    def to_dict(self):
-        return {
-            "model": self.model.to_dict(),
-            "loss": self.loss.to_dict(),
-            "objective": self.objective,
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps_opt": self.eps_opt,
-            "batch": self.batch,
-            "epochs": self.epochs,
-            "seeds": list(self.seeds),
-            "n_bins": self.n_bins,
-        }
 
 
 @dataclass
@@ -189,7 +173,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) 
             key: float(np.mean([b[key] for b in batch_fields]))
             for key in batch_fields[0]
         }
-        val_out = _predict(params, cfg.model, ha_val, ht_val)[student]
+        val_out = predict(params, cfg.model, ha_val, ht_val)[student]
         if not np.all(np.isfinite(val_out)):
             raise NumericalAbortError("non-finite validation predictions", epoch=epoch)
         val_metrics = evalreport.dist_metrics(val_out, y_val)
@@ -201,7 +185,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) 
             best_epoch = epoch
             best_params = {k: v.copy() for k, v in params.items()}
 
-    test_preds = _predict(best_params, cfg.model, ha_te, ht_te)[student]
+    test_preds = predict(best_params, cfg.model, ha_te, ht_te)[student]
     metrics = evalreport.all_metrics(test_preds, y_te)
     bins = evalreport.ambiguity_bins(test_preds, y_te, cfg.n_bins)
     report = evalreport.EvalReport(
@@ -222,12 +206,6 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) 
         test_targets=y_te,
         selected_params=best_params,
     )
-
-
-def _predict(params, model_cfg, h_a, h_t):
-    tensors = wrap_params(params, requires_grad=False)
-    outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), model_cfg)
-    return {m: out.data for m, out in outputs.items()}
 
 
 def _run_cell(args):

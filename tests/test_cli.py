@@ -203,6 +203,13 @@ def test_malformed_datasets_exit_2_with_line_numbers(tmp_path, capsys):
         "votes.jsonl": [header, record(0), record(1, votes=[0, 0, 0]), record(2)],
         "dims.jsonl": [header, record(0), record(1, h_a=[1.0, 2.0, 3.0]), record(2)],
         "dup.jsonl": [header, record(0), record(1), record(2, id="s0")],
+        "bool-votes.jsonl": [header, record(0), record(1, votes=[True, 2, 1]), record(2)],
+        "str-feats.jsonl": [header, record(0), record(1, h_a=["1.0", "2"]), record(2)],
+        "nested-h_a.jsonl": [header, record(0), record(1, h_a=[[1], [2]]), record(2)],
+        "nested-h_t.jsonl": [header, record(0), record(1), record(2, h_t=[[1.0], [0.0]])],
+        "float-header.jsonl": [{**header, "C": 3.7}, record(0), record(1), record(2)],
+        "huge-feature.jsonl": [header, record(0), record(1, h_t=[10**400, 0.0]), record(2)],
+        "huge-votes.jsonl": [header, record(0), record(1, votes=[2**63, 1, 1]), record(2)],
     }
     for name, lines in cases.items():
         path = tmp_path / name
@@ -220,6 +227,25 @@ def test_numerical_abort_exits_3(dataset, tmp_path, capsys):
     code = main(_train_args(dataset, out_dir, **{"--lr": "1e30"}))
     assert code == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_malformed_config_file_exits_2(dataset, tmp_path, capsys):
+    cfg_file = tmp_path / "bad.json"
+    cfg_file.write_text('{"epochs": 2,')
+    assert main(_train_args(dataset, tmp_path / "run", **{"--config": cfg_file})) == 2
+    err = capsys.readouterr().err
+    assert "data validation error" in err and "bad.json" in err
+
+
+def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    _write_report(good, {"JS": 0.2})
+    for blob in ({"runs": []}, {"reports": []}, {"reports": [], "aggregate": {"metrics": {}}}, []):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, blob
+        assert main(["bins", "--report", str(bad)]) == 2, blob
+        assert "data validation error" in capsys.readouterr().err
 
 
 def test_missing_dataset_file_exits_2(tmp_path):

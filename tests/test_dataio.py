@@ -49,6 +49,9 @@ def test_save_load_round_trip_is_exact(tmp_path):
     path = tmp_path / "ds.jsonl"
     save_jsonl(ds, path)
     back = load_jsonl(path)
+    again = tmp_path / "again.jsonl"
+    save_jsonl(back, again)
+    assert again.read_bytes() == path.read_bytes()
     assert len(back) == len(ds)
     for a, b in zip(ds.samples, back.samples):
         assert a.id == b.id and a.fold == b.fold
@@ -101,10 +104,12 @@ def test_malformed_json_line_reported(tmp_path):
 
 
 def test_bad_header_rejected(tmp_path):
-    path = _write(tmp_path, [{"schema": "other", "C": 3, "dim_a": 2, "dim_t": 2, "folds": 3}])
-    with pytest.raises(DataValidationError) as err:
-        load_jsonl(path)
-    assert err.value.line == 1
+    records = [_record(0), _record(1), _record(2)]
+    for bad in ({"schema": "other"}, {"C": 3.7}, {"C": 3.0}, {"C": True}, {"folds": "3"}, {"dim_a": None}):
+        path = _write(tmp_path, [{**HEADER, **bad}] + records)
+        with pytest.raises(DataValidationError) as err:
+            load_jsonl(path)
+        assert err.value.line == 1, bad
 
 
 def test_generator_determinism():

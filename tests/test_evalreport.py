@@ -4,6 +4,7 @@ import io
 import numpy as np
 import pytest
 
+from amber.distlib import bhattacharyya, js_divergence
 from amber.evalreport import (
     EvalReport,
     aggregate,
@@ -74,8 +75,22 @@ def test_dist_metrics_degenerate_targets_report_missing_r2():
 
 
 def test_dist_metrics_length_mismatch():
-    with pytest.raises(ValueError):
-        dist_metrics(np.ones((2, 3)) / 3, np.ones((3, 3)) / 3)
+    ok = np.ones((2, 3)) / 3
+    for preds in (np.ones((3, 3)) / 3, [[1.2, -0.2, 0.0], [0.5, 0.5, 0.0]], [[0.5, 0.6, 0.0], [0.5, 0.5, 0.0]]):
+        with pytest.raises(ValueError):
+            dist_metrics(preds, ok)
+
+
+def test_dist_metrics_equal_mean_of_per_sample_divergences():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n, c = int(rng.integers(1, 300)), int(rng.integers(2, 9))
+        logits = 3.0 * rng.standard_normal((n, c))
+        preds = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        targets = rng.multinomial(10, np.ones(c) / c, size=n) / 10
+        m = dist_metrics(preds, targets)
+        assert m["JS"] == float(np.mean([js_divergence(p, y) for p, y in zip(preds, targets)]))
+        assert m["BC"] == float(np.mean([bhattacharyya(p, y) for p, y in zip(preds, targets)]))
 
 
 def test_cls_metrics_perfect():
