@@ -5,8 +5,15 @@ The engine supports exactly the shapes the classifier needs: 2-D matrices,
 added to every row of a matrix. Each op function returns a new `Tensor`
 recording its parents and a closure that routes the upstream gradient;
 `backward` replays the graph in reverse topological order. Forward values
-are never mutated in place and the traversal order is a pure function of
-graph structure, so repeated runs are bit-identical.
+and gradient arrays are never written in place, and the traversal order is
+a pure function of graph structure, so repeated runs are bit-identical.
+
+Gradient buffers: a `requires_grad` leaf holds a zero buffer from
+construction, so a parameter the root never reaches reads zero. An interior
+node has `grad = None` until `backward` reaches it. `backward` resets every
+node it reaches to `None`; the first accumulation assigns the incoming array
+(so nodes may share one) and later ones add out of place. `stop_grad` is the
+one way to detach.
 
 Gradient formulas clamp logarithm arguments at `GRAD_LOG_FLOOR`; forward
 values never clamp (the metric path must see exact zeros).
@@ -27,8 +34,8 @@ _LOG2 = np.log(2.0)
 class Tensor:
     """A node of the computation graph.
 
-    Leaf tensors created with `requires_grad=True` get a zero gradient
-    buffer up front; interior buffers are allocated lazily during backward.
+    A leaf created with `requires_grad=True` gets a zero gradient buffer
+    up front; an interior node (built by `_node`) starts with `grad = None`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
@@ -40,10 +47,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self.op = op
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def zero_grad(self):
         if self.grad is not None:
@@ -59,14 +62,13 @@ def constant(data) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _node(data, parents, backward, op) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), op=op)
-    if out.requires_grad:
+    out = Tensor(data, op=op)
+    if any(p.requires_grad for p in parents):
+        out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
     return out
@@ -77,9 +79,9 @@ def backward(root: Tensor):
 
     `root` must hold a single value. Visits nodes in reverse topological
     order (children before parents), depth-first over the ordered parent
-    tuples, so the accumulation order is deterministic. Buffers of every
-    node reachable from the root are reset first; each call therefore
-    yields exactly the gradient of this root, never a mix of calls.
+    tuples, so the accumulation order is deterministic. Every node reachable
+    from the root is reset to `grad = None` first, so each call yields
+    exactly the gradient of this root, never a mix of calls.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -99,7 +101,7 @@ def backward(root: Tensor):
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     for node in topo:
-        node.grad = np.zeros_like(node.data)
+        node.grad = None
     root.grad = np.ones_like(root.data)
     for node in reversed(topo):
         if node._backward is not None:
@@ -229,16 +231,13 @@ def stop_grad(x: Tensor) -> Tensor:
 # fused loss nodes
 
 
-def js_loss_node(p: Tensor, q: Tensor, stop_grad_q: bool = False) -> Tensor:
+def js_loss_node(p: Tensor, q: Tensor) -> Tensor:
     """Scalar mean base-2 Jensen-Shannon divergence over paired rows.
 
     Forward values come from `distlib` (exact 0 log 0 handling); the
     gradient is 0.5 * log2(x / m) / batch with arguments clamped at
-    `GRAD_LOG_FLOOR`. With `stop_grad_q` the q side enters through an
-    explicit stop-gradient node.
+    `GRAD_LOG_FLOOR`. To detach one side, pass it through `stop_grad`.
     """
-    if stop_grad_q:
-        q = stop_grad(q)
     if p.data.shape != q.data.shape or p.data.ndim != 2:
         raise ValueError(f"js_loss_node shape mismatch: {p.data.shape} vs {q.data.shape}")
     batch = p.data.shape[0]

@@ -278,6 +278,9 @@ def cmd_train(ns, parser):
         raise DataValidationError(
             f"dataset declares {ds.fold_count} folds; training needs >= 3", path=ns.data
         )
+    smallest_fold = len(ds) // ds.fold_count
+    if resolved["bins"] > smallest_fold:
+        parser.error(f"--bins {resolved['bins']} exceeds the {smallest_fold} rows of the smallest test fold")
     try:
         cfg = _train_config(resolved, ds)
     except ValueError as exc:
@@ -340,24 +343,27 @@ def cmd_train(ns, parser):
 
 
 def cmd_eval(ns, parser):
-    try:
-        model_cfg, params, provenance = model.load_checkpoint(ns.checkpoint)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise DataValidationError(f"invalid checkpoint: {exc}", path=ns.checkpoint) from None
+    model_cfg, params, provenance = model.load_checkpoint(ns.checkpoint)
     ds = load_jsonl(ns.data)
+    mismatch = [f"{k} {getattr(model_cfg, k)} vs {getattr(ds, k)}"
+                for k in ("dim_a", "dim_t", "n_classes") if getattr(model_cfg, k) != getattr(ds, k)]
+    if mismatch:
+        raise DataValidationError(f"checkpoint and dataset differ: {', '.join(mismatch)}", path=ns.data)
     if ns.split == "all":
         subset = ds
     else:
         fold = provenance.get("fold")
-        if fold is None:
+        if type(fold) is not int:
             raise DataValidationError(
-                "checkpoint has no fold provenance; use --split all", path=ns.checkpoint
+                "checkpoint has no integer fold provenance; use --split all", path=ns.checkpoint
             )
         try:
-            train, val, test = fold_split(ds, int(fold))
+            train, val, test = fold_split(ds, fold)
         except ValueError as exc:
             raise DataValidationError(str(exc), path=ns.data) from None
         subset = {"train": train, "val": val, "test": test}[ns.split]
+    if not 2 <= ns.bins <= len(subset):
+        parser.error(f"--bins must lie in [2, {len(subset)}], the rows of the {ns.split} split")
 
     h_a, h_t, y = subset.matrices()
     preds = model.predict(params, model_cfg, h_a, h_t)[model_cfg.student]

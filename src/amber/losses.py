@@ -106,7 +106,7 @@ def mai_loss(s: ad.Tensor, experts: dict, y: np.ndarray, cfg: LossConfig):
     u = expert_weights(d, cfg.kappa)
     node = None
     for m, p in experts.items():
-        term = ad.scalar_mul(u[m], ad.js_loss_node(s, p, stop_grad_q=detach))
+        term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.stop_grad(p) if detach else p))
         node = term if node is None else ad.add(node, term)
     return node, u, d
 
@@ -139,9 +139,8 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
         total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai_node))
 
     if cfg.expert_supervision == "rai":
-        y_const = ad.constant(y)
         for m, p in experts.items():
-            node = ad.js_loss_node(y_const, p)
+            node = rai_loss(y, p)
             breakdown.expert_rai[m] = float(node.data)
             total = ad.add(total, node)
 

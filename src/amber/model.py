@@ -9,11 +9,12 @@ other two act as experts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DataValidationError
 
 MODALITIES = ("a", "t", "at")
 
@@ -45,19 +46,12 @@ class ModelConfig:
     def head_input_dim(self, modality):
         return {"a": self.dim_a, "t": self.dim_t, "at": self.fusion_dim}[modality]
 
-    def to_dict(self):
-        return {
-            "dim_a": self.dim_a,
-            "dim_t": self.dim_t,
-            "n_classes": self.n_classes,
-            "hidden": self.hidden,
-            "fusion_dim": self.fusion_dim,
-            "student": self.student,
-        }
-
 
 def param_shapes(cfg: ModelConfig) -> dict:
-    """Name -> shape for every trainable array, in canonical creation order."""
+    """Name -> shape for every trainable array, in canonical creation order.
+
+    Each bias directly follows the weight whose output it shifts.
+    """
     shapes = {}
     for m in MODALITIES:
         d = cfg.head_input_dim(m)
@@ -77,25 +71,17 @@ def init_params(cfg: ModelConfig, rng) -> dict:
     """Fresh parameter dict, each array uniform in +-1/sqrt(fan_in).
 
     `rng` is a `numpy.random.Generator` (or a seed). Creation order is fixed
-    so a given seed always yields the same parameters. The fan-in of a layer
-    also bounds its bias.
+    so a given seed always yields the same parameters. A bias shares the
+    bound of the weight before it.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     params = {}
     for name, shape in param_shapes(cfg).items():
-        fan_in = shape[0] if name.endswith((".w1", ".w2", "gate_w", "proj_a", "proj_t")) else _bias_fan_in(cfg, name)
-        bound = 1.0 / np.sqrt(fan_in)
+        if len(shape) == 2:
+            bound = 1.0 / np.sqrt(shape[0])
         params[name] = rng.uniform(-bound, bound, size=shape)
     return params
-
-
-def _bias_fan_in(cfg, name):
-    if name.endswith(".b1"):
-        return cfg.head_input_dim(name.split(".")[0])
-    if name.endswith(".b2"):
-        return cfg.hidden
-    return cfg.dim_a + cfg.dim_t  # fuse.gate_b
 
 
 def wrap_params(params: dict, requires_grad=True) -> dict:
@@ -163,7 +149,7 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, provenance=None):
     """Write config + flat parameter arrays as a versioned JSON blob."""
     blob = {
         "format": CHECKPOINT_FORMAT,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "provenance": provenance or {},
         "params": {
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
@@ -176,19 +162,62 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, provenance=None):
 
 
 def load_checkpoint(path):
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format: {blob.get('format')!r}")
-    cfg = ModelConfig(**blob["config"])
-    params = {}
-    for name, entry in blob["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"non-finite values in checkpoint parameter {name!r}")
-        params[name] = arr
+    """(config, params, provenance) of a checkpoint written by `save_checkpoint`.
+
+    A file of any other structure, keys, entry types, values or shapes
+    raises a `DataValidationError` naming the file.
+    """
+
+    def invalid(message):
+        return DataValidationError(f"invalid checkpoint: {message}", path=path)
+
+    def check_keys(obj, required, optional, what):
+        if not isinstance(obj, dict):
+            raise invalid(f"{what} must be a JSON object")
+        missing = sorted(set(required) - set(obj))
+        unknown = sorted(set(obj) - set(required) - set(optional))
+        if missing:
+            raise invalid(f"{what} lacks keys {missing}")
+        if unknown:
+            raise invalid(f"{what} has unknown keys {unknown}")
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as exc:
+        raise invalid(f"malformed JSON ({exc})") from None
+    check_keys(blob, ("format", "config", "params"), ("provenance",), "checkpoint")
+    if blob["format"] != CHECKPOINT_FORMAT:
+        raise invalid(f"unsupported format {blob['format']!r}")
+    config = blob["config"]
+    check_keys(config, [f.name for f in fields(ModelConfig)], (), "config")
+    for name, value in config.items():
+        if type(value) is not (str if name == "student" else int):
+            raise invalid(f"config {name!r} has the wrong type: {value!r}")
+    try:
+        cfg = ModelConfig(**config)
+    except ValueError as exc:
+        raise invalid(str(exc)) from None
+    provenance = blob.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise invalid("provenance must be a JSON object")
+
     expected = param_shapes(cfg)
-    got = {k: v.shape for k, v in params.items()}
-    if expected != got:
-        raise ValueError("checkpoint parameters do not match its model config")
-    return cfg, params, blob.get("provenance", {})
+    check_keys(blob["params"], expected, (), "params")
+    params = {}
+    for name, shape in expected.items():
+        entry = blob["params"][name]
+        check_keys(entry, ("shape", "data"), (), f"parameter {name!r}")
+        data = entry["data"]
+        if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
+            raise invalid(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
+        if not isinstance(data, list) or len(data) != np.prod(shape) or not set(map(type, data)) <= {int, float}:
+            raise invalid(f"parameter {name!r} data must be a list of {np.prod(shape)} numbers")
+        try:
+            arr = np.asarray(data, dtype=np.float64).reshape(shape)
+        except OverflowError:
+            raise invalid(f"values beyond the float range in parameter {name!r}") from None
+        if not np.all(np.isfinite(arr)):
+            raise invalid(f"non-finite values in parameter {name!r}")
+        params[name] = arr
+    return cfg, params, provenance

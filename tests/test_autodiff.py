@@ -180,10 +180,27 @@ def test_stop_grad_q_keeps_gradient_buffer_zero():
     rng = np.random.default_rng(21)
     p = ad.Tensor(rng.dirichlet(np.ones(3), size=2), requires_grad=True)
     q = ad.Tensor(rng.dirichlet(np.ones(3), size=2), requires_grad=True)
-    out = ad.js_loss_node(p, q, stop_grad_q=True)
+    out = ad.js_loss_node(p, ad.stop_grad(q))
     ad.backward(out)
     assert np.array_equal(q.grad, np.zeros_like(q.data))
     assert np.any(p.grad != 0)
+
+
+def test_backward_twice_on_one_graph_gives_the_same_leaf_gradients():
+    rng = np.random.default_rng(41)
+    x = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
+    unreached = ad.Tensor(rng.standard_normal(2), requires_grad=True)
+    h = ad.add(ad.matmul(x, w), b)
+    out = ad.mean(ad.elementwise_mul(h, h))
+    assert h.grad is None and out.grad is None
+    ad.backward(out)
+    first = [t.grad.copy() for t in (x, w, b)]
+    ad.backward(out)
+    for t, g in zip((x, w, b), first):
+        assert np.array_equal(t.grad, g)
+    assert np.array_equal(unreached.grad, np.zeros(2))
 
 
 def test_grad_check_sum_of_squares():

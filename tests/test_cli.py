@@ -144,6 +144,46 @@ def test_eval_emits_binned_report(dataset, tmp_path):
     assert csv_text.startswith("system,fold,seed,bin,metric,value,mean,std")
 
 
+def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run)) == 0
+    ckpt = run / "checkpoints" / "ckpt-f0-s0.json"
+    for name, overrides in {"dims": {"--dim-a": 5}, "classes": {"--classes": 4}}.items():
+        other = tmp_path / f"{name}.jsonl"
+        assert main(_gen_args(other, **overrides)) == 0
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(other),
+                     "--out-dir", str(tmp_path / name)]) == 2, name
+        assert "checkpoint and dataset differ" in capsys.readouterr().err
+    blob = json.loads(ckpt.read_text())
+    blob["config"]["extra"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                 "--out-dir", str(tmp_path / "bad")]) == 2
+    assert "invalid checkpoint" in capsys.readouterr().err
+
+
+def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, capsys):
+    # 40 rows: 10 per test fold at the file's 4 folds, 8 at --folds 5
+    assert main(_train_args(dataset, tmp_path / "ok", **{"--bins": 10, "--epochs": 1})) == 0
+    assert main(_train_args(dataset, tmp_path / "r1", **{"--bins": 11})) == 1
+    assert main(_train_args(dataset, tmp_path / "r2", **{"--bins": 9, "--folds": 5})) == 1
+    assert "smallest test fold" in capsys.readouterr().err
+    assert not (tmp_path / "r1").exists() and not (tmp_path / "r2").exists()
+
+
+def test_eval_rejects_more_bins_than_the_split_rows(dataset, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run)) == 0
+    ckpt = str(run / "checkpoints" / "ckpt-f0-s0.json")
+    args = ["eval", "--checkpoint", ckpt, "--data", str(dataset), "--out-dir", str(tmp_path / "ev")]
+    assert main(args + ["--bins", "11"]) == 1  # the test split holds 10 rows
+    assert "rows of the test split" in capsys.readouterr().err
+    assert main(args + ["--bins", "1"]) == 1
+    assert main(args + ["--bins", "11", "--split", "all"]) == 0
+    assert main(args + ["--bins", "41", "--split", "all"]) == 1
+
+
 def _write_report(path, metrics):
     report = EvalReport(system="x", fold=0, seed=0, metrics=metrics)
     emit_report([report], path, "json")

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from amber import autodiff as ad
+from amber.errors import DataValidationError
 from amber.model import (
     MODALITIES,
     ModelConfig,
@@ -177,7 +180,42 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"format": "other", "config": {}, "params": {}}')
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+    cfg = ModelConfig(dim_a=3, dim_t=2, n_classes=3, hidden=4, fusion_dim=3)
+    good = tmp_path / "good.json"
+    save_checkpoint(good, cfg, init_params(cfg, 1), provenance={"fold": 0})
+    load_checkpoint(good)
+    blob = json.loads(good.read_text())
+
+    def edited(**changes):
+        return json.dumps({**blob, **changes})
+
+    def param(name, **entry):
+        return edited(params={**blob["params"], name: {**blob["params"][name], **entry}})
+
+    cases = {
+        "format": '{"format": "other", "config": {}, "params": {}}',
+        "top-level-list": "[]",
+        "malformed": '{"format": ',
+        "config-string": edited(config="x"),
+        "config-unknown-key": edited(config={**blob["config"], "extra": 1}),
+        "config-missing-key": edited(config={k: v for k, v in blob["config"].items() if k != "hidden"}),
+        "config-bool-dim": edited(config={**blob["config"], "dim_a": True}),
+        "config-out-of-range": edited(config={**blob["config"], "n_classes": 1}),
+        "unknown-top-key": edited(extra=1),
+        "provenance-list": edited(provenance=[]),
+        "params-missing": edited(params={k: v for k, v in blob["params"].items() if k != "a.b1"}),
+        "entry-not-object": edited(params={**blob["params"], "a.b1": [0.0] * 4}),
+        "bool-data": param("a.b1", data=[True, False, True, False]),
+        "string-data": param("a.b1", data=["0.1", 0.0, 0.0, 0.0]),
+        "nested-data": param("a.b1", data=[[0.1], [0.0], [0.0], [0.0]]),
+        "short-data": param("a.b1", data=[0.0] * 3),
+        "wrong-shape": param("a.w1", shape=[2, 6]),
+        "float-shape": param("a.b1", shape=[4.0]),
+        "nan-data": param("a.b1", data=[float("nan"), 0.0, 0.0, 0.0]),
+        "huge-data": param("a.b1", data=[10**400, 0.0, 0.0, 0.0]),
+    }
+    for name, text in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        with pytest.raises(DataValidationError, match="invalid checkpoint"):
+            load_checkpoint(path)
