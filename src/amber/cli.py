@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,6 +30,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+MAX_SEEDS = 10_000  # every seed is one run per fold; train builds the seed tuple up front
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit with code 1."""
@@ -41,24 +42,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-TRAIN_DEFAULTS = {
-    "objective": "amber",
-    "student": "at",
-    "lambda_rai": 1.0,
-    "lambda_mai": 0.5,
-    "kappa": 4.0,
-    "expert_supervision": "rai",
-    "mai_grad": "detached",
-    "hidden": 256,
-    "fusion_dim": 256,
-    "lr": 3e-4,
-    "weight_decay": 1e-2,
-    "batch": 128,
-    "epochs": 30,
-    "seeds": 5,
-    "folds": None,
-    "bins": 4,
-    "jobs": None,
+# key -> (type, default, choices, help); the flag is the key with "-" for "_".
+# Defaults come from the config dataclasses. Row order is the manifest's order.
+TRAIN_OPTIONS = {
+    "objective": (str, trainer.TrainConfig.objective, trainer.OBJECTIVES, None),
+    "student": (str, ModelConfig.student, model.MODALITIES, None),
+    "lambda_rai": (float, LossConfig.lambda_rai, None, None),
+    "lambda_mai": (float, LossConfig.lambda_mai, None, None),
+    "kappa": (float, LossConfig.kappa, None, None),
+    "expert_supervision": (str, LossConfig.expert_supervision, ("rai", "none"), None),
+    "mai_grad": (str, LossConfig.mai_expert_grad, ("detached", "coupled"), None),
+    "hidden": (int, ModelConfig.hidden, None, None),
+    "fusion_dim": (int, ModelConfig.fusion_dim, None, None),
+    "lr": (float, trainer.TrainConfig.lr, None, None),
+    "weight_decay": (float, trainer.TrainConfig.weight_decay, None, None),
+    "batch": (int, trainer.TrainConfig.batch, None, None),
+    "epochs": (int, trainer.TrainConfig.epochs, None, None),
+    "seeds": (int, len(trainer.TrainConfig.seeds), None, "number of seeds (0..N-1)"),
+    "folds": (int, None, None, "re-partition into this many folds"),
+    "bins": (int, trainer.TrainConfig.n_bins, None, "entropy bins in reports"),
+    "jobs": (int, 1, None, "parallel (fold, seed) workers"),
 }
 
 
@@ -83,23 +86,8 @@ def build_parser() -> _Parser:
     train.add_argument("--data", required=True)
     train.add_argument("--config", help="JSON config file or a previous manifest")
     train.add_argument("--out-dir", required=True)
-    train.add_argument("--objective", choices=trainer.OBJECTIVES)
-    train.add_argument("--student", choices=model.MODALITIES)
-    train.add_argument("--lambda-rai", type=float, dest="lambda_rai")
-    train.add_argument("--lambda-mai", type=float, dest="lambda_mai")
-    train.add_argument("--kappa", type=float)
-    train.add_argument("--expert-supervision", choices=("rai", "none"), dest="expert_supervision")
-    train.add_argument("--mai-grad", choices=("detached", "coupled"), dest="mai_grad")
-    train.add_argument("--hidden", type=int)
-    train.add_argument("--fusion-dim", type=int, dest="fusion_dim")
-    train.add_argument("--lr", type=float)
-    train.add_argument("--weight-decay", type=float, dest="weight_decay")
-    train.add_argument("--batch", type=int)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--seeds", type=int, help="number of seeds (0..N-1)")
-    train.add_argument("--folds", type=int, help="re-partition into this many folds")
-    train.add_argument("--bins", type=int, help="entropy bins in reports")
-    train.add_argument("--jobs", type=int, help="parallel (fold, seed) workers")
+    for key, (typ, _, choices, help_) in TRAIN_OPTIONS.items():
+        train.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, choices=choices, help=help_)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     ev.add_argument("--checkpoint", required=True)
@@ -170,34 +158,30 @@ def _load_config_file(path):
     return blob
 
 
-_INT_KEYS = ("hidden", "fusion_dim", "batch", "epochs", "seeds", "folds", "bins", "jobs")
-_FLOAT_KEYS = ("lambda_rai", "lambda_mai", "kappa", "lr", "weight_decay")
+def _typed(key, value, typ, parser):
+    """`value` as `typ` (a bool is no number; a float takes a finite int or float) or exit 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+        parser.error(f"option {key!r} must be {typ.__name__}, not {type(value).__name__}")
+    if typ is not float:
+        return value
+    if not abs(value) <= sys.float_info.max:  # nan, inf and ints beyond the float range
+        parser.error(f"option {key!r} must be a finite float")
+    return float(value)
 
 
 def _resolve_train_config(ns, parser):
-    resolved = dict(TRAIN_DEFAULTS)
-    if ns.config:
-        file_cfg = _load_config_file(ns.config)
-        unknown = set(file_cfg) - set(TRAIN_DEFAULTS) - {"data"}
-        if unknown:
-            parser.error(f"unknown config keys: {sorted(unknown)}")
-        resolved.update({k: v for k, v in file_cfg.items() if k in TRAIN_DEFAULTS})
-    for key in TRAIN_DEFAULTS:
-        flag = getattr(ns, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    if resolved["jobs"] is None:
-        resolved["jobs"] = int(os.environ.get("AMBER_JOBS", "1"))
-    try:
-        for key in _INT_KEYS:
-            if resolved[key] is not None:
-                resolved[key] = int(resolved[key])
-        for key in _FLOAT_KEYS:
-            resolved[key] = float(resolved[key])
-    except (TypeError, ValueError):
-        parser.error(f"non-numeric config value for {key!r}")
-    if resolved["seeds"] < 1:
-        parser.error("--seeds must be >= 1")
+    file_cfg = _load_config_file(ns.config) if ns.config else {}
+    unknown = set(file_cfg) - set(TRAIN_OPTIONS) - {"data"}
+    if unknown:
+        parser.error(f"unknown config keys: {sorted(unknown)}")
+    resolved = {}
+    for key, (typ, default, _, _) in TRAIN_OPTIONS.items():
+        value = getattr(ns, key)
+        if value is None:
+            value = file_cfg.get(key, default)
+        resolved[key] = None if key == "folds" and value is None else _typed(key, value, typ, parser)
+    if not 1 <= resolved["seeds"] <= MAX_SEEDS:
+        parser.error(f"--seeds must lie in [1, {MAX_SEEDS}]")
     if resolved["jobs"] < 1:
         parser.error("--jobs must be >= 1")
     if resolved["bins"] < 2:
@@ -205,33 +189,36 @@ def _resolve_train_config(ns, parser):
     return resolved
 
 
-def _train_config(resolved, ds) -> trainer.TrainConfig:
-    model_cfg = ModelConfig(
-        dim_a=ds.dim_a,
-        dim_t=ds.dim_t,
-        n_classes=ds.n_classes,
-        hidden=resolved["hidden"],
-        fusion_dim=resolved["fusion_dim"],
-        student=resolved["student"],
-    )
-    loss_cfg = LossConfig(
-        lambda_rai=resolved["lambda_rai"],
-        lambda_mai=resolved["lambda_mai"],
-        kappa=resolved["kappa"],
-        expert_supervision=resolved["expert_supervision"],
-        mai_expert_grad=resolved["mai_grad"],
-    )
-    return trainer.TrainConfig(
-        model=model_cfg,
-        loss=loss_cfg,
-        objective=resolved["objective"],
-        lr=resolved["lr"],
-        weight_decay=resolved["weight_decay"],
-        batch=resolved["batch"],
-        epochs=resolved["epochs"],
-        seeds=tuple(range(resolved["seeds"])),
-        n_bins=resolved["bins"],
-    )
+def _train_config(resolved, ds, parser) -> trainer.TrainConfig:
+    try:
+        model_cfg = ModelConfig(
+            dim_a=ds.dim_a,
+            dim_t=ds.dim_t,
+            n_classes=ds.n_classes,
+            hidden=resolved["hidden"],
+            fusion_dim=resolved["fusion_dim"],
+            student=resolved["student"],
+        )
+        loss_cfg = LossConfig(
+            lambda_rai=resolved["lambda_rai"],
+            lambda_mai=resolved["lambda_mai"],
+            kappa=resolved["kappa"],
+            expert_supervision=resolved["expert_supervision"],
+            mai_expert_grad=resolved["mai_grad"],
+        )
+        return trainer.TrainConfig(
+            model=model_cfg,
+            loss=loss_cfg,
+            objective=resolved["objective"],
+            lr=resolved["lr"],
+            weight_decay=resolved["weight_decay"],
+            batch=resolved["batch"],
+            epochs=resolved["epochs"],
+            seeds=tuple(range(resolved["seeds"])),
+            n_bins=resolved["bins"],
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +268,7 @@ def cmd_train(ns, parser):
     smallest_fold = len(ds) // ds.fold_count
     if resolved["bins"] > smallest_fold:
         parser.error(f"--bins {resolved['bins']} exceeds the {smallest_fold} rows of the smallest test fold")
-    try:
-        cfg = _train_config(resolved, ds)
-    except ValueError as exc:
-        parser.error(str(exc))
+    cfg = _train_config(resolved, ds, parser)
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -349,16 +333,16 @@ def cmd_eval(ns, parser):
                 for k in ("dim_a", "dim_t", "n_classes") if getattr(model_cfg, k) != getattr(ds, k)]
     if mismatch:
         raise DataValidationError(f"checkpoint and dataset differ: {', '.join(mismatch)}", path=ns.data)
+    for key, typ in (("system", str), ("fold", int), ("seed", int)):
+        if key in provenance and type(provenance[key]) is not typ:
+            raise DataValidationError(f"provenance {key!r} must be {typ.__name__}", path=ns.checkpoint)
     if ns.split == "all":
         subset = ds
     else:
-        fold = provenance.get("fold")
-        if type(fold) is not int:
-            raise DataValidationError(
-                "checkpoint has no integer fold provenance; use --split all", path=ns.checkpoint
-            )
+        if "fold" not in provenance:
+            raise DataValidationError("no fold provenance; use --split all", path=ns.checkpoint)
         try:
-            train, val, test = fold_split(ds, fold)
+            train, val, test = fold_split(ds, provenance["fold"])
         except ValueError as exc:
             raise DataValidationError(str(exc), path=ns.data) from None
         subset = {"train": train, "val": val, "test": test}[ns.split]
@@ -485,7 +469,7 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         sys.stderr.write(f"amber: numerical abort: {exc}\n")
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input, or a directory given as a file
         sys.stderr.write(f"amber: {exc}\n")
         return EXIT_DATA
 

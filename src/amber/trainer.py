@@ -27,6 +27,8 @@ from .model import ModelConfig, forward_all, init_params, predict, wrap_params
 
 OBJECTIVES = ("amber", "cbce")
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and epsilon
+
 
 @dataclass
 class TrainConfig:
@@ -35,9 +37,6 @@ class TrainConfig:
     objective: str = "amber"
     lr: float = 3e-4
     weight_decay: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_opt: float = 1e-8
     batch: int = 128
     epochs: int = 30
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -48,12 +47,10 @@ class TrainConfig:
             raise ValueError(f"objective must be one of {OBJECTIVES}, got {self.objective!r}")
         if self.lr <= 0:
             raise ValueError("lr must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("betas must lie in [0, 1)")
         if self.batch < 1 or self.epochs < 1:
             raise ValueError("batch and epochs must be >= 1")
-        if self.weight_decay < 0 or self.eps_opt <= 0:
-            raise ValueError("weight_decay must be >= 0 and eps_opt > 0")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be >= 0")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("at least one seed is required")
@@ -85,15 +82,15 @@ def opt_step(params: dict, grads: dict, state: OptState, cfg: TrainConfig):
             raise NumericalAbortError(f"non-finite gradient in {name!r}")
     state.step += 1
     t = state.step
-    bias1 = 1.0 - cfg.beta1**t
-    bias2 = 1.0 - cfg.beta2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, g in grads.items():
-        state.m[name] = cfg.beta1 * state.m[name] + (1.0 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bias1
         v_hat = state.v[name] / bias2
         params[name] = params[name] - cfg.lr * (
-            m_hat / (np.sqrt(v_hat) + cfg.eps_opt) + cfg.weight_decay * params[name]
+            m_hat / (np.sqrt(v_hat) + EPS) + cfg.weight_decay * params[name]
         )
 
 
@@ -117,7 +114,7 @@ def _batch_objective(objective, y, outputs, loss_cfg, student, class_weights):
     return total, {"cbce": float(total.data), "total": float(total.data)}
 
 
-def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) -> RunRecord:
+def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
     """Train on one (fold, seed) cell and evaluate the selected epoch on test."""
     rng = np.random.default_rng(seed)
     params = init_params(cfg.model, rng)
@@ -189,7 +186,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) 
     metrics = evalreport.all_metrics(test_preds, y_te)
     bins = evalreport.ambiguity_bins(test_preds, y_te, cfg.n_bins)
     report = evalreport.EvalReport(
-        system=system or cfg.objective,
+        system=cfg.objective,
         fold=fold,
         seed=seed,
         metrics=metrics,
@@ -209,19 +206,18 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig, system=None) 
 
 
 def _run_cell(args):
-    ds, fold, seed, cfg, system = args
-    return train_one(ds, fold, seed, cfg, system=system)
+    return train_one(*args)
 
 
-def cross_validate(ds: Dataset, cfg: TrainConfig, jobs: int = 1, system=None):
+def cross_validate(ds: Dataset, cfg: TrainConfig, jobs: int = 1):
     """All (fold, seed) runs plus the aggregate mean/std per metric.
 
     Returns (records, aggregate); records are ordered by (fold, seed)
     regardless of how many workers executed them.
     """
-    cells = [(ds, fold, seed, cfg, system) for fold in range(ds.fold_count) for seed in cfg.seeds]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in cfg.seeds]
+    if jobs > 1:  # a pool may start all its workers at once, so never more than there are runs
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             records = list(pool.map(_run_cell, cells))
     else:
         records = [_run_cell(cell) for cell in cells]

