@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
-from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl
+from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl, write_text_atomic
 from .errors import DataValidationError, NumericalAbortError
 from .losses import LossConfig
 from .model import ModelConfig
@@ -31,6 +32,10 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 MAX_SEEDS = 10_000  # every seed is one run per fold; train builds the seed tuple up front
+# Parameters of one run, counted over model.param_shapes. Each takes 8 bytes in
+# the parameters, the gradients and both AdamW moments (3.2 GB at the bound); a
+# model numpy cannot allocate would otherwise fail mid-run, after the manifest.
+MAX_PARAMS = 100_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,9 +145,7 @@ def _manifest(command, config, dataset_sha=None, execution=None):
 
 
 def _write_json(path, blob):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=2)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(blob, indent=2) + "\n")
 
 
 def _load_config_file(path):
@@ -206,7 +209,7 @@ def _train_config(resolved, ds, parser) -> trainer.TrainConfig:
             expert_supervision=resolved["expert_supervision"],
             mai_expert_grad=resolved["mai_grad"],
         )
-        return trainer.TrainConfig(
+        cfg = trainer.TrainConfig(
             model=model_cfg,
             loss=loss_cfg,
             objective=resolved["objective"],
@@ -219,6 +222,11 @@ def _train_config(resolved, ds, parser) -> trainer.TrainConfig:
         )
     except ValueError as exc:
         parser.error(str(exc))
+    n_params = sum(math.prod(shape) for shape in model.param_shapes(cfg.model).values())
+    if n_params > MAX_PARAMS:
+        parser.error(f"--hidden {cfg.model.hidden} and --fusion-dim {cfg.model.fusion_dim} give "
+                     f"{n_params} parameters per run, more than {MAX_PARAMS}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +303,12 @@ def cmd_train(ns, parser):
     for rec in records:
         rec.report.provenance["manifest"] = manifest["manifest_sha256"]
 
-    with open(out_dir / "train-log.jsonl", "w", encoding="utf-8") as fh:
-        for rec in records:
-            run_id = f"f{rec.fold}-s{rec.seed}"
-            for entry in rec.epochs:
-                fh.write(json.dumps({"run_id": run_id, "epoch": entry["epoch"],
-                                     "split": "train", **entry["train"]}) + "\n")
-                fh.write(json.dumps({"run_id": run_id, "epoch": entry["epoch"],
-                                     "split": "val", **entry["val"]}) + "\n")
+    log_lines = [
+        json.dumps({"run_id": f"f{rec.fold}-s{rec.seed}", "epoch": entry["epoch"], "split": split,
+                    **entry[split]}) + "\n"
+        for rec in records for entry in rec.epochs for split in ("train", "val")
+    ]
+    write_text_atomic(out_dir / "train-log.jsonl", log_lines)
 
     for rec in records:
         model.save_checkpoint(
@@ -402,7 +408,7 @@ def cmd_compare(ns, parser):
         header = ["metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
         cells = [[name, repr(b), repr(c), repr(delta), "" if rel is None else repr(rel)]
                  for name, b, c, delta, rel in rows]
-        Path(ns.out).write_text(evalreport.csv_text(header, cells), encoding="utf-8")
+        write_text_atomic(ns.out, evalreport.csv_text(header, cells))
     return EXIT_OK
 
 
@@ -439,7 +445,7 @@ def cmd_bins(ns, parser):
     text = evalreport.csv_text(header, rows)
     print(text, end="")
     if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
+        write_text_atomic(ns.out, text)
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ bookkeeping fields.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -210,6 +212,27 @@ def fold_split(ds: Dataset, fold: int):
 
 # ---------------------------------------------------------------------------
 # JSONL serialization
+
+
+def write_text_atomic(path, text):
+    """Write `text` to `path` as UTF-8, whole or not at all.
+
+    `text` is a string or an iterable of strings, written in turn. It goes
+    to a temporary file in the same directory, which then replaces `path`
+    (`os.replace`). A write that fails part-way, an iterable that raises
+    included, leaves `path` as it was and removes the temporary file. This
+    guards against a process that stops or fails mid-write, not against
+    power loss (no fsync).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_jsonl(ds: Dataset, path):

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import distlib
+from .dataio import write_text_atomic
 from .errors import DataValidationError
 
 METRIC_ORDER = ("JS", "BC", "R2", "R2_raw", "F1_macro", "WF1", "ACC")
@@ -280,9 +281,7 @@ def emit_report(reports, path, fmt: str):
     renderers = {"csv": render_csv, "markdown": render_markdown, "json": render_json}
     if fmt not in renderers:
         raise ValueError(f"unknown report format {fmt!r}")
-    text = renderers[fmt](reports, summary)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    write_text_atomic(path, renderers[fmt](reports, summary))
     return path
 
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
+from .dataio import write_text_atomic
 from .errors import DataValidationError
 
 MODALITIES = ("a", "t", "at")
@@ -146,19 +147,36 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict, provenance=None):
-    """Write config + flat parameter arrays as a versioned JSON blob."""
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "config": asdict(cfg),
-        "provenance": provenance or {},
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in params.items()
-        },
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
+    """Write config + flat parameter arrays as a versioned JSON blob.
+
+    The file holds the bytes of `json.dump(blob, fh)` and a newline, written
+    whole (`write_text_atomic`) from the pieces of `_checkpoint_text`.
+    """
+    write_text_atomic(path, _checkpoint_text(cfg, params, provenance or {}))
+
+
+# Numbers per `json.dumps` call: bounds the Python floats and their text
+# that exist at once to a small slice of the largest parameter.
+_NUMBERS_PER_PIECE = 8192
+
+
+def _checkpoint_text(cfg, params, provenance):
+    """The checkpoint's JSON text in pieces, each from `json.dumps`.
+
+    `json.dumps` with default options runs CPython's C encoder, which
+    `json.dump` never uses, and writes the same bytes; the separators between
+    pieces are its defaults (", " and ": ").
+    """
+    head = json.dumps({"format": CHECKPOINT_FORMAT, "config": asdict(cfg), "provenance": provenance, "params": {}})
+    yield head[:-2]  # without the "}}" that closes the empty params
+    for i, (name, arr) in enumerate(params.items()):
+        yield f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(arr.shape))}, "data": ['
+        flat = arr.reshape(-1)
+        for start in range(0, flat.size, _NUMBERS_PER_PIECE):
+            numbers = json.dumps(flat[start:start + _NUMBERS_PER_PIECE].tolist())[1:-1]
+            yield f", {numbers}" if start else numbers
+        yield "]}"
+    yield "}}\n"
 
 
 def load_checkpoint(path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from amber import trainer
 from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
 from amber.errors import DataValidationError
 from amber.evalreport import EvalReport, emit_report
@@ -198,6 +199,14 @@ def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, 
     assert main(_train_args(dataset, tmp_path / "r2", **{"--bins": 9, "--folds": 5})) == 1
     assert "smallest test fold" in capsys.readouterr().err
     assert not (tmp_path / "r1").exists() and not (tmp_path / "r2").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--hidden", 10**10), ("--hidden", 10**20), ("--fusion-dim", 10**10)])
+def test_train_rejects_a_model_too_large_to_allocate(dataset, tmp_path, capsys, monkeypatch, flag, value):
+    monkeypatch.setattr(trainer, "cross_validate", lambda *args, **kwargs: pytest.fail("training started"))
+    assert main(_train_args(dataset, tmp_path / "run", **{flag: value})) == 1
+    assert "parameters per run, more than" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.jsonl.manifest.json"]
 
 
 def test_eval_rejects_more_bins_than_the_split_rows(dataset, tmp_path, capsys):

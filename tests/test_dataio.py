@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from amber.dataio import (
     load_jsonl,
     sample_votes,
     save_jsonl,
+    write_text_atomic,
 )
+from amber import dataio
 from amber.distlib import entropy_bits
 from amber.errors import DataValidationError
 
@@ -235,3 +239,44 @@ def test_synth_config_validation():
                 {"n_samples": 1}, {"noise_sigma": -0.1}):
         with pytest.raises(ValueError):
             SynthConfig(**{**base, **bad})
+
+
+def _open_failing_half_way(path, mode, **kwargs):
+    """`open` whose file takes half of one write, then fails as on a full disk."""
+    fh = open(path, mode, **kwargs)
+    real_write = fh.write
+
+    def write(text):
+        real_write(text[: len(text) // 2])
+        fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    fh.write = write
+    return fh
+
+
+def _failing_replace(src, dst):
+    raise OSError("replace failed")
+
+
+@pytest.mark.parametrize("old", [None, "old\n"])
+@pytest.mark.parametrize("failure", ["half-written", "unencodable", "replace"])
+def test_write_text_atomic_leaves_no_partial_or_temporary_file(tmp_path, monkeypatch, old, failure):
+    path = tmp_path / "out.json"
+    if old is not None:
+        path.write_text(old)
+    text = "x" * 100_000
+    if failure == "half-written":
+        monkeypatch.setattr(dataio, "open", _open_failing_half_way, raising=False)
+    elif failure == "unencodable":
+        text += "\udc80"  # a lone surrogate has no UTF-8 encoding
+    else:
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        write_text_atomic(path, text)
+    assert os.listdir(tmp_path) == ([] if old is None else ["out.json"])
+    if old is not None:
+        assert path.read_text() == old
+    monkeypatch.undo()
+    write_text_atomic(path, text[:10])
+    assert path.read_text() == "x" * 10 and os.listdir(tmp_path) == ["out.json"]

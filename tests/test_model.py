@@ -1,4 +1,6 @@
 import json
+import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from amber import autodiff as ad
 from amber.errors import DataValidationError
 from amber.model import (
+    CHECKPOINT_FORMAT,
     MODALITIES,
     ModelConfig,
     forward_all,
@@ -177,6 +180,51 @@ def test_checkpoint_round_trip(tmp_path):
     assert prov == {"fold": 1, "seed": 7}
     for name in params:
         assert np.array_equal(params[name], params2[name])
+
+
+def _edge_value_checkpoint():
+    # at.w1 holds 100 x 100 numbers, more than one encoding piece
+    cfg = ModelConfig(dim_a=3, dim_t=2, n_classes=3, hidden=100, fusion_dim=100, student="t")
+    params = init_params(cfg, 3)
+    params["a.b1"][:5] = [-0.0, 5e-324, 1e-05, 1e308, 0.1]
+    return cfg, params, {"system": "système-ü", "fold": 2, "seed": 0}
+
+
+def test_checkpoint_bytes_are_those_of_json_dump(tmp_path):
+    cfg, params, provenance = _edge_value_checkpoint()
+    blob = {
+        "format": CHECKPOINT_FORMAT,
+        "config": asdict(cfg),
+        "provenance": provenance,
+        "params": {name: {"shape": list(a.shape), "data": a.reshape(-1).tolist()} for name, a in params.items()},
+    }
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(blob, fh)
+        fh.write("\n")
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, params, provenance=provenance)
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_checkpoint_load_save_reproduces_the_file(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_checkpoint(first, *_edge_value_checkpoint())
+    cfg, params, provenance = load_checkpoint(first)
+    assert np.signbit(params["a.b1"][0]) and params["a.b1"][1] == 5e-324
+    save_checkpoint(second, cfg, params, provenance=provenance)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_that_fails_mid_write_leaves_the_file_as_it_was(tmp_path):
+    cfg, params, provenance = _edge_value_checkpoint()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, params, provenance=provenance)
+    before = path.read_bytes()
+    unencodable = {**params, "fuse.proj_t": params["fuse.proj_t"].astype(complex)}  # the last one written
+    with pytest.raises(TypeError):
+        save_checkpoint(path, cfg, unencodable, provenance=provenance)
+    assert os.listdir(tmp_path) == ["ckpt.json"] and path.read_bytes() == before
 
 
 def test_checkpoint_rejects_wrong_format(tmp_path):
