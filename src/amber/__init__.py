@@ -8,7 +8,7 @@ baseline, a shared metric suite and an entropy-binned ambiguity analysis.
 
 __version__ = "0.1.0"
 
-from .dataio import Dataset, Sample, SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl
+from .dataio import Dataset, SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl
 from .distlib import (
     RaterVotes,
     SoftLabel,

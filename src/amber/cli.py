@@ -266,8 +266,8 @@ def cmd_train(ns, parser):
     resolved = _resolve_train_config(ns, parser)
     ds = load_jsonl(ns.data)
     if resolved["folds"] is not None:
-        if resolved["folds"] < 3:
-            parser.error("--folds must be >= 3")
+        if not 3 <= resolved["folds"] <= len(ds):
+            parser.error(f"--folds must lie in [3, {len(ds)}], the rows of the dataset")
         ds = ds.with_fold_count(resolved["folds"])
     elif ds.fold_count < 3:
         raise DataValidationError(

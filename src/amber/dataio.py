@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .distlib import RaterVotes, SoftLabel, aggregate_votes
 from .errors import DataValidationError
 
 SCHEMA = "amber-ds-v1"
@@ -28,16 +27,6 @@ SCHEMA = "amber-ds-v1"
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
 Y_CROSSCHECK_TOL = 1e-6
-
-
-@dataclass
-class Sample:
-    id: str
-    h_a: np.ndarray
-    h_t: np.ndarray
-    votes: RaterVotes
-    y: SoftLabel
-    fold: int
 
 
 def _soft_labels(votes: np.ndarray) -> np.ndarray:
@@ -88,20 +77,9 @@ class Dataset:
     def dim_t(self):
         return self.h_t.shape[1]
 
-    @property
-    def samples(self) -> list:
-        """Per-sample view of the columns, built on each access."""
-        rows = zip(self.ids, self.h_a, self.h_t, map(RaterVotes, self.votes))
-        return [
-            Sample(ident, h_a, h_t, votes, aggregate_votes(votes), i % self.fold_count)
-            for i, (ident, h_a, h_t, votes) in enumerate(rows)
-        ]
-
-    def matrices(self, indices=None):
-        """(h_a, h_t, y) matrices for the given sample indices (all by default)."""
-        if indices is None:
-            return self.h_a, self.h_t, self.y
-        return self.h_a[indices], self.h_t[indices], self.y[indices]
+    def matrices(self):
+        """The (h_a, h_t, y) matrices."""
+        return self.h_a, self.h_t, self.y
 
     def with_fold_count(self, fold_count: int) -> "Dataset":
         """Re-partition by record order into a different number of folds."""
@@ -126,14 +104,14 @@ class SynthConfig:
     def __post_init__(self):
         if self.n_samples < 1 or self.n_classes < 2 or self.dim_a < 1 or self.dim_t < 1:
             raise ValueError("n_samples >= 1, n_classes >= 2 and positive dims required")
-        if self.n_raters < 1:
-            raise ValueError("n_raters must be >= 1")
-        if self.ambiguity_alpha <= 0:
-            raise ValueError("ambiguity_alpha must be > 0")
+        if not 1 <= self.n_raters < 2**63:  # load_jsonl's bound on a vote total
+            raise ValueError("n_raters must be in [1, 2**63)")
+        if not 0 < self.ambiguity_alpha < np.inf:
+            raise ValueError("ambiguity_alpha must be finite and > 0")
         if not 0.0 <= self.conflict_rate <= 1.0:
             raise ValueError("conflict_rate must be in [0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
         if self.n_samples < self.fold_count:
             raise ValueError("need at least one sample per fold")
 
@@ -151,11 +129,6 @@ def class_anchors(rng, n_classes: int, dim: int) -> np.ndarray:
     if dist.min() < 1e-6:
         raise ValueError("degenerate anchor draw, use a different seed")
     return anchors
-
-
-def sample_votes(rng, pi: np.ndarray, n_raters: int) -> RaterVotes:
-    """Draw annotator votes i.i.d. from the per-sample class distribution."""
-    return RaterVotes(rng.multinomial(n_raters, pi))
 
 
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
@@ -180,7 +153,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     alpha = np.full(cfg.n_classes, cfg.ambiguity_alpha)
     for i in range(n):
         pi = rng.dirichlet(alpha)
-        votes[i] = sample_votes(rng, pi, cfg.n_raters).counts
+        votes[i] = rng.multinomial(cfg.n_raters, pi)
         c_t = int(np.argmax(pi))
         c_a = c_t
         if rng.random() < cfg.conflict_rate:
@@ -236,19 +209,21 @@ def write_text_atomic(path, text):
 
 
 def save_jsonl(ds: Dataset, path):
-    """Write the dataset in record order; floats round-trip exactly via repr."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = {
-            "schema": SCHEMA,
-            "C": ds.n_classes,
-            "dim_a": ds.dim_a,
-            "dim_t": ds.dim_t,
-            "folds": ds.fold_count,
-        }
-        fh.write(json.dumps(header) + "\n")
+    """Write the dataset in record order, atomically; floats round-trip exactly via repr."""
+    header = {
+        "schema": SCHEMA,
+        "C": ds.n_classes,
+        "dim_a": ds.dim_a,
+        "dim_t": ds.dim_t,
+        "folds": ds.fold_count,
+    }
+
+    def lines():
+        yield json.dumps(header) + "\n"
         for ident, h_a, h_t, votes in zip(ds.ids, ds.h_a.tolist(), ds.h_t.tolist(), ds.votes.tolist()):
-            record = {"id": ident, "h_a": h_a, "h_t": h_t, "votes": votes}
-            fh.write(json.dumps(record) + "\n")
+            yield json.dumps({"id": ident, "h_a": h_a, "h_t": h_t, "votes": votes}) + "\n"
+
+    write_text_atomic(path, lines())
 
 
 def load_jsonl(path) -> Dataset:

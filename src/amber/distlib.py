@@ -82,9 +82,7 @@ def aggregate_votes(votes: RaterVotes) -> SoftLabel:
 
 
 def _rows(p) -> np.ndarray:
-    """Coerce a SoftLabel / vector / row matrix into a 2-D float64 array."""
-    if isinstance(p, SoftLabel):
-        p = p.probs
+    """Coerce a vector or row matrix into a 2-D float64 array."""
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 1:
         p = p[np.newaxis, :]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,14 +52,14 @@ class EvalReport:
 
 
 def _as_matrix(rows) -> np.ndarray:
-    """(n, C) float64 matrix of distributions, one per row.
+    """An array-like (n, C) matrix of distributions as float64, one per row.
 
     Rows are checked as a `SoftLabel` checks one: finite, non-negative and
     summing to one within `distlib.SUM_TOLERANCE`.
     """
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2):
-        rows = np.stack([r.probs if isinstance(r, distlib.SoftLabel) else r for r in rows])
-    m = rows.astype(np.float64, copy=False)
+    m = np.asarray(rows, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError(f"expected an (n, C) matrix of distributions, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)) or np.any(m < 0):
         raise ValueError("distribution entries must be finite and non-negative")
     if np.any(np.abs(m.sum(axis=1) - 1.0) > distlib.SUM_TOLERANCE):
@@ -130,10 +131,10 @@ def bin_edges(n_classes: int, n_bins: int) -> np.ndarray:
     return np.linspace(0.0, np.log2(n_classes), n_bins + 1)
 
 
-def assign_bin(entropy: float, edges: np.ndarray) -> int:
-    """Equal-width entropy bin; boundary values fall into the lower bin."""
-    h = min(max(entropy, edges[0]), edges[-1])
-    return max(0, int(np.searchsorted(edges, h, side="left")) - 1)
+def assign_bin(entropy, edges: np.ndarray):
+    """Equal-width entropy bin of one entropy or of each in an array; boundaries go to the lower bin."""
+    h = np.clip(entropy, edges[0], edges[-1])
+    return np.maximum(np.searchsorted(edges, h, side="left") - 1, 0)
 
 
 def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
@@ -143,8 +144,7 @@ def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
     p = _as_matrix(preds)
     y = _as_matrix(targets)
     edges = bin_edges(y.shape[1], n_bins)
-    entropy = distlib.entropy_bits_rows(y)
-    membership = np.asarray([assign_bin(h, edges) for h in entropy])
+    membership = assign_bin(distlib.entropy_bits_rows(y), edges)
 
     rows = []
     for b in range(n_bins):
@@ -285,15 +285,33 @@ def emit_report(reports, path, fmt: str):
     return path
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number: an int or float, not a bool, within the float range."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _check_metric_cells(metrics):
+    if not isinstance(metrics, dict):
+        raise TypeError("'metrics' must be an object")
+    for name, cell in metrics.items():
+        if not (isinstance(cell, dict) and _is_number(cell.get("mean")) and _is_number(cell.get("std"))):
+            raise TypeError(f"metric {name!r} needs a number 'mean' and 'std'")
+
+
 def load_report(path):
-    """Read back a JSON report: (reports, aggregate)."""
+    """Read back a JSON report: (reports, aggregate), with every aggregate cell checked."""
     with open(path, encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
             reports = [EvalReport.from_dict(r) for r in blob["reports"]]
             summary = blob["aggregate"]
-            if not isinstance(summary["metrics"], dict) or not isinstance(summary["bins"], list):
-                raise TypeError("aggregate needs a 'metrics' object and a 'bins' list")
+            if not isinstance(summary["bins"], list):
+                raise TypeError("aggregate needs a 'bins' list")
+            _check_metric_cells(summary["metrics"])
+            for row in summary["bins"]:
+                if not isinstance(row, dict) or not all(_is_number(row.get(k, 0)) for k in ("lo", "hi")):
+                    raise TypeError("a bin row must be an object with number 'lo' and 'hi'")
+                _check_metric_cells(row["metrics"])
         except (ValueError, KeyError, TypeError) as exc:
             raise DataValidationError(f"not a report file ({type(exc).__name__}: {exc})", path=path) from None
     return reports, summary

@@ -198,7 +198,9 @@ def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, 
     assert main(_train_args(dataset, tmp_path / "r1", **{"--bins": 11})) == 1
     assert main(_train_args(dataset, tmp_path / "r2", **{"--bins": 9, "--folds": 5})) == 1
     assert "smallest test fold" in capsys.readouterr().err
-    assert not (tmp_path / "r1").exists() and not (tmp_path / "r2").exists()
+    assert main(_train_args(dataset, tmp_path / "r3", **{"--folds": 41})) == 1
+    assert "--folds must lie in [3, 40]" in capsys.readouterr().err
+    assert not any((tmp_path / run).exists() for run in ("r1", "r2", "r3"))
 
 
 @pytest.mark.parametrize("flag, value", [("--hidden", 10**10), ("--hidden", 10**20), ("--fusion-dim", 10**10)])
@@ -317,7 +319,19 @@ def test_malformed_config_file_exits_2(dataset, tmp_path, capsys):
 def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
     good = tmp_path / "good.json"
     _write_report(good, {"JS": 0.2})
-    for blob in ({"runs": []}, {"reports": []}, {"reports": [], "aggregate": {"metrics": {}}}, []):
+    malformed_aggregates = (
+        {"metrics": {}, "bins": [1]},
+        {"metrics": {"JS": 1}, "bins": []},
+        {"metrics": {"JS": {"mean": "x", "std": 0.0}}, "bins": []},
+        {"metrics": {"JS": {"mean": True, "std": 0.0}}, "bins": []},
+        {"metrics": {"JS": {"mean": 1e400, "std": 0.0}}, "bins": []},
+        {"metrics": {}, "bins": [{"bin": 0}]},
+        {"metrics": {}, "bins": [{"metrics": {"JS": {"mean": 0.1}}}]},
+        {"metrics": {}, "bins": [{"lo": "x", "metrics": {}}]},
+    )
+    blobs = [{"runs": []}, {"reports": []}, {"reports": [], "aggregate": {"metrics": {}}}, []]
+    blobs += [{"reports": [], "aggregate": agg} for agg in malformed_aggregates]
+    for blob in blobs:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))
         assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, blob

@@ -13,12 +13,11 @@ from amber.dataio import (
     fold_split,
     generate_synthetic,
     load_jsonl,
-    sample_votes,
     save_jsonl,
     write_text_atomic,
 )
 from amber import dataio
-from amber.distlib import entropy_bits
+from amber.distlib import entropy_bits_rows
 from amber.errors import DataValidationError
 
 HEADER = {"schema": SCHEMA, "C": 3, "dim_a": 2, "dim_t": 2, "folds": 3}
@@ -41,8 +40,8 @@ def test_load_three_line_fixture_round_trip(tmp_path):
     ds = load_jsonl(path)
     assert len(ds) == 3
     assert ds.n_classes == 3 and ds.fold_count == 3
-    assert [s.fold for s in ds.samples] == [0, 1, 2]
-    assert np.allclose(ds.samples[0].y.probs, [0.4, 0.4, 0.2])
+    assert list(np.arange(len(ds)) % ds.fold_count) == [0, 1, 2]
+    assert np.allclose(ds.y[0], [0.4, 0.4, 0.2])
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
@@ -57,11 +56,10 @@ def test_save_load_round_trip_is_exact(tmp_path):
     save_jsonl(back, again)
     assert again.read_bytes() == path.read_bytes()
     assert len(back) == len(ds)
-    for a, b in zip(ds.samples, back.samples):
-        assert a.id == b.id and a.fold == b.fold
-        assert np.array_equal(a.h_a, b.h_a)
-        assert np.array_equal(a.h_t, b.h_t)
-        assert np.array_equal(a.votes.counts, b.votes.counts)
+    assert np.array_equal(ds.ids, back.ids) and ds.fold_count == back.fold_count
+    assert np.array_equal(ds.h_a, back.h_a)
+    assert np.array_equal(ds.h_t, back.h_t)
+    assert np.array_equal(ds.votes, back.votes)
 
 
 def test_zero_votes_rejected_with_line_number(tmp_path):
@@ -120,11 +118,11 @@ def test_generator_determinism():
     cfg = SynthConfig(n_samples=40, n_classes=4, dim_a=5, dim_t=6, n_raters=8,
                       ambiguity_alpha=0.7, conflict_rate=0.3, noise_sigma=0.5, seed=11)
     a, b = generate_synthetic(cfg), generate_synthetic(cfg)
-    for sa, sb in zip(a.samples, b.samples):
-        assert sa.id == sb.id
-        assert np.array_equal(sa.h_a, sb.h_a)
-        assert np.array_equal(sa.h_t, sb.h_t)
-        assert np.array_equal(sa.votes.counts, sb.votes.counts)
+    assert np.array_equal(a.ids, b.ids)
+    assert np.array_equal(a.h_a, b.h_a)
+    assert np.array_equal(a.h_t, b.h_t)
+    assert np.array_equal(a.votes, b.votes)
+    assert np.all(a.votes >= 0) and np.all(a.votes.sum(axis=1) == cfg.n_raters)
 
 
 def test_conflict_rate_one_always_disagrees():
@@ -136,9 +134,9 @@ def test_conflict_rate_one_always_disagrees():
     rng = np.random.default_rng(cfg.seed)
     anchors_a = class_anchors(rng, 4, 6)
     anchors_t = class_anchors(rng, 4, 6)
-    for s in ds.samples:
-        c_a = int(np.argmin(np.linalg.norm(anchors_a - s.h_a, axis=1)))
-        c_t = int(np.argmin(np.linalg.norm(anchors_t - s.h_t, axis=1)))
+    for h_a, h_t in zip(ds.h_a, ds.h_t):
+        c_a = int(np.argmin(np.linalg.norm(anchors_a - h_a, axis=1)))
+        c_t = int(np.argmin(np.linalg.norm(anchors_t - h_t, axis=1)))
         assert c_a != c_t
 
 
@@ -150,11 +148,11 @@ def test_conflict_rate_zero_agrees_and_votes_sharp():
     anchors_a = class_anchors(rng, 4, 6)
     anchors_t = class_anchors(rng, 4, 6)
     share = []
-    for s in ds.samples:
-        c_a = int(np.argmin(np.linalg.norm(anchors_a - s.h_a, axis=1)))
-        c_t = int(np.argmin(np.linalg.norm(anchors_t - s.h_t, axis=1)))
+    for h_a, h_t, votes in zip(ds.h_a, ds.h_t, ds.votes):
+        c_a = int(np.argmin(np.linalg.norm(anchors_a - h_a, axis=1)))
+        c_t = int(np.argmin(np.linalg.norm(anchors_t - h_t, axis=1)))
         assert c_a == c_t
-        share.append(s.votes.counts.max() / s.votes.n_raters)
+        share.append(votes.max() / votes.sum())
     assert np.mean(share) > 0.95
 
 
@@ -166,24 +164,13 @@ def test_anchor_construction_requires_enough_dims():
         )
 
 
-def test_vote_frequencies_converge_to_pi():
-    rng = np.random.default_rng(12)
-    pi = np.asarray([0.55, 0.25, 0.15, 0.05])
-    n_raters, n_samples = 10, 12_000  # N * n_samples >= 1e5
-    totals = np.zeros(4)
-    for _ in range(n_samples):
-        totals += sample_votes(rng, pi, n_raters).counts
-    freq = totals / totals.sum()
-    assert np.max(np.abs(freq - pi)) < 0.01
-
-
 def test_entropy_grows_with_ambiguity_alpha():
     means = []
     for alpha in (0.1, 0.5, 1.0, 3.0):
         cfg = SynthConfig(n_samples=2000, n_classes=4, dim_a=4, dim_t=4, n_raters=10,
                           ambiguity_alpha=alpha, conflict_rate=0.0, noise_sigma=0.1, seed=21)
         ds = generate_synthetic(cfg)
-        means.append(np.mean([entropy_bits(s.y) for s in ds.samples]))
+        means.append(np.mean(entropy_bits_rows(ds.y)))
     assert all(a < b for a, b in zip(means, means[1:])), means
 
 
@@ -194,19 +181,20 @@ def test_fold_split_layout_and_partition():
     )
     train, val, test = fold_split(ds, 0)
     assert len(train) == 15 and len(val) == 5 and len(test) == 5
-    test_ids = {s.id for s in ds.samples if s.fold == 0}
-    val_ids = {s.id for s in ds.samples if s.fold == 1}
-    assert {s.id for s in test.samples} == test_ids
-    assert {s.id for s in val.samples} == val_ids
+    folds = np.arange(len(ds)) % ds.fold_count
+    test_ids = set(ds.ids[folds == 0])
+    val_ids = set(ds.ids[folds == 1])
+    assert set(test.ids) == test_ids
+    assert set(val.ids) == val_ids
 
-    ids = [{s.id for s in part.samples} for part in (train, val, test)]
+    ids = [set(part.ids) for part in (train, val, test)]
     assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
-    assert ids[0] | ids[1] | ids[2] == {s.id for s in ds.samples}
+    assert ids[0] | ids[1] | ids[2] == set(ds.ids)
 
     # validation fold wraps around
     _, val4, test4 = fold_split(ds, 4)
-    assert {s.id for s in val4.samples} == {s.id for s in ds.samples if s.fold == 0}
-    assert {s.id for s in test4.samples} == {s.id for s in ds.samples if s.fold == 4}
+    assert set(val4.ids) == set(ds.ids[folds == 0])
+    assert set(test4.ids) == set(ds.ids[folds == 4])
 
 
 def test_fold_split_validation():
@@ -227,7 +215,7 @@ def test_with_fold_count_repartitions_positionally():
                     ambiguity_alpha=1.0, conflict_rate=0.0, noise_sigma=0.2, seed=2, fold_count=3)
     )
     ds4 = ds.with_fold_count(4)
-    assert [s.fold for s in ds4.samples] == [i % 4 for i in range(12)]
+    assert list(np.arange(len(ds4)) % ds4.fold_count) == [i % 4 for i in range(12)]
     assert ds4.n_classes == ds.n_classes
 
 
@@ -236,7 +224,9 @@ def test_synth_config_validation():
                 ambiguity_alpha=1.0, conflict_rate=0.0, noise_sigma=0.2, seed=0, fold_count=2)
     SynthConfig(**base)
     for bad in ({"conflict_rate": 1.5}, {"ambiguity_alpha": 0.0}, {"n_raters": 0},
-                {"n_samples": 1}, {"noise_sigma": -0.1}):
+                {"n_samples": 1}, {"noise_sigma": -0.1}, {"noise_sigma": float("nan")},
+                {"noise_sigma": float("inf")}, {"ambiguity_alpha": float("nan")},
+                {"ambiguity_alpha": float("inf")}, {"n_raters": 2**63}, {"n_raters": 10**19}):
         with pytest.raises(ValueError):
             SynthConfig(**{**base, **bad})
 
@@ -280,3 +270,16 @@ def test_write_text_atomic_leaves_no_partial_or_temporary_file(tmp_path, monkeyp
     monkeypatch.undo()
     write_text_atomic(path, text[:10])
     assert path.read_text() == "x" * 10 and os.listdir(tmp_path) == ["out.json"]
+
+
+def test_save_jsonl_that_fails_mid_write_keeps_the_old_file(tmp_path, monkeypatch):
+    ds = generate_synthetic(
+        SynthConfig(n_samples=12, n_classes=3, dim_a=3, dim_t=4, n_raters=6,
+                    ambiguity_alpha=0.8, conflict_rate=0.5, noise_sigma=0.4, seed=5, fold_count=3)
+    )
+    path = tmp_path / "ds.jsonl"
+    path.write_text("old\n")
+    monkeypatch.setattr(dataio, "open", _open_failing_half_way, raising=False)
+    with pytest.raises(OSError):
+        save_jsonl(ds, path)
+    assert os.listdir(tmp_path) == ["ds.jsonl"] and path.read_text() == "old\n"
