@@ -106,8 +106,9 @@ class SynthConfig:
             raise ValueError("n_samples >= 1, n_classes >= 2 and positive dims required")
         if not 1 <= self.n_raters < 2**63:  # load_jsonl's bound on a vote total
             raise ValueError("n_raters must be in [1, 2**63)")
-        if not 0 < self.ambiguity_alpha < np.inf:
-            raise ValueError("ambiguity_alpha must be finite and > 0")
+        # beyond this the Dirichlet draw overflows to an all-zero pi (one-hot votes)
+        if not (0 < self.ambiguity_alpha and self.n_classes * self.ambiguity_alpha < 1e300):
+            raise ValueError("ambiguity_alpha must be > 0 with n_classes * ambiguity_alpha below 1e300")
         if not 0.0 <= self.conflict_rate <= 1.0:
             raise ValueError("conflict_rate must be in [0, 1]")
         if not 0 <= self.noise_sigma < np.inf:

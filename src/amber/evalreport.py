@@ -51,20 +51,25 @@ class EvalReport:
         )
 
 
-def _as_matrix(rows) -> np.ndarray:
-    """An array-like (n, C) matrix of distributions as float64, one per row.
+def _as_matrices(preds, targets):
+    """(p, y): two array-like (n, C) matrices of distributions as float64.
 
     Rows are checked as a `SoftLabel` checks one: finite, non-negative and
-    summing to one within `distlib.SUM_TOLERANCE`.
+    summing to one within `distlib.SUM_TOLERANCE`. Both must have the same
+    non-empty shape. Each public entry point checks once, then works on the
+    checked matrices.
     """
-    m = np.asarray(rows, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected an (n, C) matrix of distributions, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)) or np.any(m < 0):
-        raise ValueError("distribution entries must be finite and non-negative")
-    if np.any(np.abs(m.sum(axis=1) - 1.0) > distlib.SUM_TOLERANCE):
-        raise ValueError(f"distribution rows must sum to one within {distlib.SUM_TOLERANCE}")
-    return m
+    p, y = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
+    for m in (p, y):
+        if m.ndim != 2:
+            raise ValueError(f"expected an (n, C) matrix of distributions, got ndim={m.ndim}")
+        if not np.all(np.isfinite(m)) or np.any(m < 0):
+            raise ValueError("distribution entries must be finite and non-negative")
+        if np.any(np.abs(m.sum(axis=1) - 1.0) > distlib.SUM_TOLERANCE):
+            raise ValueError(f"distribution rows must sum to one within {distlib.SUM_TOLERANCE}")
+    if p.shape != y.shape or p.shape[0] < 1:
+        raise ValueError(f"prediction/target shapes differ: {p.shape} vs {y.shape}")
+    return p, y
 
 
 def dist_metrics(preds, targets) -> dict:
@@ -73,10 +78,10 @@ def dist_metrics(preds, targets) -> dict:
     JS and BC are row means over renormalized rows, equal to the means of
     `distlib.js_divergence` / `distlib.bhattacharyya` per sample.
     """
-    p = _as_matrix(preds)
-    y = _as_matrix(targets)
-    if p.shape != y.shape or p.shape[0] < 1:
-        raise ValueError(f"prediction/target shapes differ: {p.shape} vs {y.shape}")
+    return _dist_metrics(*_as_matrices(preds, targets))
+
+
+def _dist_metrics(p, y):
     p_norm = p / p.sum(axis=1, keepdims=True)
     y_norm = y / y.sum(axis=1, keepdims=True)
     js = float(distlib.js_divergence_rows(p_norm, y_norm).mean())
@@ -97,10 +102,10 @@ def cls_metrics(preds, targets) -> dict:
     Classes absent from both targets and predictions contribute F1 = 0 to
     the macro average and zero weight to the weighted one.
     """
-    p = _as_matrix(preds)
-    y = _as_matrix(targets)
-    if p.shape != y.shape or p.shape[0] < 1:
-        raise ValueError(f"prediction/target shapes differ: {p.shape} vs {y.shape}")
+    return _cls_metrics(*_as_matrices(preds, targets))
+
+
+def _cls_metrics(p, y):
     n_classes = y.shape[1]
     p_hat = np.argmax(p, axis=1)
     y_hat = np.argmax(y, axis=1)
@@ -122,9 +127,11 @@ def cls_metrics(preds, targets) -> dict:
 
 
 def all_metrics(preds, targets) -> dict:
-    out = dist_metrics(preds, targets)
-    out.update(cls_metrics(preds, targets))
-    return out
+    return _all_metrics(*_as_matrices(preds, targets))
+
+
+def _all_metrics(p, y):
+    return {**_dist_metrics(p, y), **_cls_metrics(p, y)}
 
 
 def bin_edges(n_classes: int, n_bins: int) -> np.ndarray:
@@ -141,8 +148,7 @@ def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
     """Per-bin metric rows stratified by target-label entropy (in bits)."""
     if n_bins < 2:
         raise ValueError("need at least 2 ambiguity bins")
-    p = _as_matrix(preds)
-    y = _as_matrix(targets)
+    p, y = _as_matrices(preds, targets)
     edges = bin_edges(y.shape[1], n_bins)
     membership = assign_bin(distlib.entropy_bits_rows(y), edges)
 
@@ -151,7 +157,7 @@ def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
         mask = membership == b
         count = int(mask.sum())
         row = {"bin": b, "lo": float(edges[b]), "hi": float(edges[b + 1]), "count": count}
-        row["metrics"] = all_metrics(p[mask], y[mask]) if count else None
+        row["metrics"] = _all_metrics(p[mask], y[mask]) if count else None
         rows.append(row)
     return rows
 

@@ -8,6 +8,7 @@ other two act as experts.
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, dataclass, fields
 
@@ -19,7 +20,7 @@ from .errors import DataValidationError
 
 MODALITIES = ("a", "t", "at")
 
-CHECKPOINT_FORMAT = "amber-ckpt-v1"
+CHECKPOINT_FORMAT = "amber-ckpt-v2"
 
 
 @dataclass
@@ -147,35 +148,30 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
 
 
 def save_checkpoint(path, cfg: ModelConfig, params: dict, provenance=None):
-    """Write config + flat parameter arrays as a versioned JSON blob.
+    """Write config + parameter arrays as a versioned JSON blob.
 
-    The file holds the bytes of `json.dump(blob, fh)` and a newline, written
-    whole (`write_text_atomic`) from the pieces of `_checkpoint_text`.
+    Each parameter's `data` is the base64 of its float64 values as
+    little-endian bytes in C order, so a load returns them bit for bit. The
+    file is written whole (`write_text_atomic`) from the pieces of
+    `_checkpoint_text`; a parameter that is not float64 raises `TypeError`.
     """
     write_text_atomic(path, _checkpoint_text(cfg, params, provenance or {}))
 
 
-# Numbers per `json.dumps` call: bounds the Python floats and their text
-# that exist at once to a small slice of the largest parameter.
-_NUMBERS_PER_PIECE = 8192
-
-
 def _checkpoint_text(cfg, params, provenance):
-    """The checkpoint's JSON text in pieces, each from `json.dumps`.
+    """The checkpoint's JSON text: the head, then one piece per parameter.
 
-    `json.dumps` with default options runs CPython's C encoder, which
-    `json.dump` never uses, and writes the same bytes; the separators between
-    pieces are its defaults (", " and ": ").
+    The pieces join to `json.dumps` of the whole blob (default separators
+    ", " and ": "), and at most one parameter's encoding exists at a time.
     """
     head = json.dumps({"format": CHECKPOINT_FORMAT, "config": asdict(cfg), "provenance": provenance, "params": {}})
     yield head[:-2]  # without the "}}" that closes the empty params
     for i, (name, arr) in enumerate(params.items()):
-        yield f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(arr.shape))}, "data": ['
-        flat = arr.reshape(-1)
-        for start in range(0, flat.size, _NUMBERS_PER_PIECE):
-            numbers = json.dumps(flat[start:start + _NUMBERS_PER_PIECE].tolist())[1:-1]
-            yield f", {numbers}" if start else numbers
-        yield "]}"
+        if arr.dtype.type is not np.float64:
+            raise TypeError(f"parameter {name!r} must be float64, got {arr.dtype}")
+        # no local keeps the encoding, so the previous one is gone before the next is made
+        yield (f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(arr.shape))}, "data": "'
+               f'{base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")}"}}')
     yield "}}\n"
 
 
@@ -229,12 +225,15 @@ def load_checkpoint(path):
         data = entry["data"]
         if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
             raise invalid(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
-        if not isinstance(data, list) or len(data) != np.prod(shape) or not set(map(type, data)) <= {int, float}:
-            raise invalid(f"parameter {name!r} data must be a list of {np.prod(shape)} numbers")
+        if not isinstance(data, str):
+            raise invalid(f"parameter {name!r} data must be a base64 string")
         try:
-            arr = np.asarray(data, dtype=np.float64).reshape(shape)
-        except OverflowError:
-            raise invalid(f"values beyond the float range in parameter {name!r}") from None
+            raw = base64.b64decode(data, validate=True)
+        except ValueError:
+            raise invalid(f"parameter {name!r} data is not valid base64") from None
+        if len(raw) != 8 * np.prod(shape):
+            raise invalid(f"parameter {name!r} data holds {len(raw)} bytes, its shape needs {8 * np.prod(shape)}")
+        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
         if not np.all(np.isfinite(arr)):
             raise invalid(f"non-finite values in parameter {name!r}")
         params[name] = arr

@@ -74,6 +74,13 @@ def test_gen_rejects_out_of_range_conflict(tmp_path, capsys):
     assert "conflict" in capsys.readouterr().err
 
 
+def test_gen_rejects_an_alpha_the_dirichlet_draw_overflows_on(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert main(_gen_args(out, **{"--alpha": 1e308})) == 1
+    assert "ambiguity_alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen", "--samples", "10", "--classes", "3", "--frobnicate", "1"]) == 1
 

@@ -226,7 +226,8 @@ def test_synth_config_validation():
     for bad in ({"conflict_rate": 1.5}, {"ambiguity_alpha": 0.0}, {"n_raters": 0},
                 {"n_samples": 1}, {"noise_sigma": -0.1}, {"noise_sigma": float("nan")},
                 {"noise_sigma": float("inf")}, {"ambiguity_alpha": float("nan")},
-                {"ambiguity_alpha": float("inf")}, {"n_raters": 2**63}, {"n_raters": 10**19}):
+                {"ambiguity_alpha": float("inf")}, {"n_raters": 2**63}, {"n_raters": 10**19},
+                {"ambiguity_alpha": 1e308}, {"n_classes": 1000, "ambiguity_alpha": 1e306}):
         with pytest.raises(ValueError):
             SynthConfig(**{**base, **bad})
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 from dataclasses import asdict
@@ -8,7 +9,6 @@ import pytest
 from amber import autodiff as ad
 from amber.errors import DataValidationError
 from amber.model import (
-    CHECKPOINT_FORMAT,
     MODALITIES,
     ModelConfig,
     forward_all,
@@ -170,6 +170,18 @@ def test_dimension_and_input_validation():
         ModelConfig(dim_a=3, dim_t=4, n_classes=3, student="video")
 
 
+def _b64(a):
+    return base64.b64encode(a.astype("<f8").tobytes()).decode()
+
+
+def _assert_bit_equal(loaded, params):
+    assert list(loaded) == list(params)
+    for name, a in params.items():
+        b = loaded[name]
+        assert b.dtype == np.float64 and b.shape == a.shape and b.tobytes() == a.tobytes(), name
+        assert b.flags.c_contiguous and b.flags.writeable
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = ModelConfig(dim_a=3, dim_t=2, n_classes=3, hidden=4, fusion_dim=3, student="t")
     params = init_params(cfg, 7)
@@ -178,8 +190,7 @@ def test_checkpoint_round_trip(tmp_path):
     cfg2, params2, prov = load_checkpoint(path)
     assert cfg2 == cfg
     assert prov == {"fold": 1, "seed": 7}
-    for name in params:
-        assert np.array_equal(params[name], params2[name])
+    _assert_bit_equal(params2, params)
 
 
 def _edge_value_checkpoint():
@@ -190,30 +201,37 @@ def _edge_value_checkpoint():
     return cfg, params, {"system": "système-ü", "fold": 2, "seed": 0}
 
 
-def test_checkpoint_bytes_are_those_of_json_dump(tmp_path):
+def test_checkpoint_v2_layout_is_json_dumps_with_base64_data(tmp_path):
     cfg, params, provenance = _edge_value_checkpoint()
     blob = {
-        "format": CHECKPOINT_FORMAT,
+        "format": "amber-ckpt-v2",
         "config": asdict(cfg),
         "provenance": provenance,
-        "params": {name: {"shape": list(a.shape), "data": a.reshape(-1).tolist()} for name, a in params.items()},
+        "params": {name: {"shape": list(a.shape), "data": _b64(a)} for name, a in params.items()},
     }
-    reference = tmp_path / "reference.json"
-    with open(reference, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh)
-        fh.write("\n")
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, cfg, params, provenance=provenance)
-    assert path.read_bytes() == reference.read_bytes()
+    assert path.read_bytes() == (json.dumps(blob) + "\n").encode()
 
 
 def test_checkpoint_load_save_reproduces_the_file(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
+    _, original, _ = _edge_value_checkpoint()
     save_checkpoint(first, *_edge_value_checkpoint())
     cfg, params, provenance = load_checkpoint(first)
-    assert np.signbit(params["a.b1"][0]) and params["a.b1"][1] == 5e-324
+    _assert_bit_equal(params, original)
+    assert np.signbit(params["a.b1"][0]) and params["a.b1"][1] == 5e-324 and params["a.b1"][3] == 1e308
+    assert provenance == {"system": "système-ü", "fold": 2, "seed": 0}
     save_checkpoint(second, cfg, params, provenance=provenance)
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_checkpoint_rejects_parameters_that_are_not_float64(tmp_path):
+    cfg, params, provenance = _edge_value_checkpoint()
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(TypeError, match="float64"):
+            save_checkpoint(tmp_path / "ckpt.json", cfg, {**params, "fuse.gate_b": params["fuse.gate_b"].astype(dtype)})
+    assert os.listdir(tmp_path) == []
 
 
 def test_checkpoint_that_fails_mid_write_leaves_the_file_as_it_was(tmp_path):
@@ -261,6 +279,16 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         "float-shape": param("a.b1", shape=[4.0]),
         "nan-data": param("a.b1", data=[float("nan"), 0.0, 0.0, 0.0]),
         "huge-data": param("a.b1", data=[10**400, 0.0, 0.0, 0.0]),
+        "v1-file": edited(format="amber-ckpt-v1", params={
+            name: {"shape": entry["shape"], "data": np.frombuffer(base64.b64decode(entry["data"])).tolist()}
+            for name, entry in blob["params"].items()}),
+        "non-base64-char": param("a.b1", data="*" + blob["params"]["a.b1"]["data"][1:]),
+        "base64-newline": param("a.b1", data=blob["params"]["a.b1"]["data"] + "\n"),
+        "non-ascii-data": param("a.b1", data="é" + blob["params"]["a.b1"]["data"][1:]),
+        "8-bytes-short": param("a.b1", data=_b64(np.zeros(3))),
+        "8-bytes-long": param("a.b1", data=_b64(np.zeros(5))),
+        "nan-bits": param("a.b1", data=_b64(np.array([0.0, np.nan, 0.0, 0.0]))),
+        "inf-bits": param("a.b1", data=_b64(np.array([0.0, 0.0, -np.inf, 0.0]))),
     }
     for name, text in cases.items():
         path = tmp_path / f"{name}.json"
