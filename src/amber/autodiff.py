@@ -4,9 +4,11 @@ The engine supports exactly the shapes the classifier needs: 2-D matrices,
 1-D bias vectors and 0-d scalars, with the only broadcast being a bias row
 added to every row of a matrix. Each op function returns a new `Tensor`
 recording its parents and a closure that routes the upstream gradient;
-`backward` replays the graph in reverse topological order. Forward values
-and gradient arrays are never written in place, and the traversal order is
-a pure function of graph structure, so repeated runs are bit-identical.
+`backward` replays the graph in reverse topological order. An op may build
+its result in place in arrays it just allocated, but forward values and
+gradient arrays are never written once a node holds them, and the traversal
+order is a pure function of graph structure, so repeated runs are
+bit-identical.
 
 Gradient buffers: a `requires_grad` leaf holds a zero buffer from
 construction, so a parameter the root never reaches reads zero. An interior
@@ -142,21 +144,37 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
+    # fmax maps NaN to 0 like the select `x if x > 0 else 0`; `+= 0.0` turns -0.0 into +0.0
+    y = np.fmax(x.data, 0.0)
+    y += 0.0
 
     def bwd(g):
         _accumulate(x, g * mask)
 
-    return _node(np.where(mask, x.data, 0.0), (x,), bwd, "relu")
+    return _node(y, (x,), bwd, "relu")
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # overflow-safe piecewise form
-    pos = x.data >= 0
-    z = np.exp(np.where(pos, -x.data, x.data))
-    y = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    """Overflow-safe 1 / (1 + e^-x), bit-equal to the piecewise form.
+
+    With z = e^-|x| (never overflows) and p = [x >= 0], the result is
+    1 / (1 + z) where p = 1 and z / (1 + z) where p = 0; `p + (1 - p) * z`
+    picks the numerator exactly. min(x, -x) is -|x| but keeps a NaN's sign.
+    """
+    z = np.negative(x.data)
+    np.minimum(x.data, z, out=z)
+    np.exp(z, out=z)
+    p = (x.data >= 0).astype(np.float64)
+    y = 1.0 - p
+    y *= z
+    y += p
+    z += 1.0
+    y /= z
 
     def bwd(g):
-        _accumulate(x, g * y * (1.0 - y))
+        dx = g * y
+        dx *= 1.0 - y
+        _accumulate(x, dx)
 
     return _node(y, (x,), bwd, "sigmoid")
 

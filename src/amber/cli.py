@@ -7,7 +7,7 @@ artifact version (not the output paths), so re-running a manifest anywhere
 reproduces byte-identical logs, checkpoints and reports.
 
 Exit codes: 0 success, 1 usage error, 2 data validation error,
-3 numerical abort.
+3 numerical abort, 4 a `train --jobs` worker process died.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_WORKER = 4
 
 MAX_SEEDS = 10_000  # every seed is one run per fold; train builds the seed tuple up front
 # Parameters of one run, counted over model.param_shapes. Each takes 8 bytes in
@@ -475,6 +477,11 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         sys.stderr.write(f"amber: numerical abort: {exc}\n")
         return EXIT_NUMERIC
+    # a pool worker was killed or exited mid-run; BrokenExecutor is the base of
+    # BrokenProcessPool, whose module would import multiprocessing on every command
+    except BrokenExecutor as exc:
+        sys.stderr.write(f"amber: worker process died: {exc}\n")
+        return EXIT_WORKER
     except OSError as exc:  # a missing input, or a directory given as a file
         sys.stderr.write(f"amber: {exc}\n")
         return EXIT_DATA

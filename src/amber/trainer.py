@@ -58,40 +58,65 @@ class TrainConfig:
 
 @dataclass
 class OptState:
+    """AdamW step count and moments, each moment one flat float64 vector over
+    the parameters in `params` order."""
+
     step: int
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_opt_state(params: dict) -> OptState:
-    return OptState(
-        step=0,
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    size = sum(p.size for p in params.values())
+    return OptState(step=0, m=np.zeros(size), v=np.zeros(size))
 
 
 def opt_step(params: dict, grads: dict, state: OptState, cfg: TrainConfig):
-    """One decoupled-weight-decay adaptive-moment update, in place on `params`.
+    """One decoupled-weight-decay adaptive-moment update of `params`.
 
     All gradients are checked before anything is touched, so a non-finite
-    gradient never corrupts the parameters.
+    gradient never corrupts the parameters. The moments are updated in
+    place; gradients and the old parameter arrays are never written (the
+    previous step's graph and the best-epoch snapshot may hold them). The new
+    parameters are one fresh flat vector, and `params[name]` become reshaped
+    views of it. Each element goes through the same operations, in the same
+    order, as the per-parameter formula in the comments below.
     """
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericalAbortError(f"non-finite gradient in {name!r}")
+    g = np.concatenate([np.ravel(grads[name]) for name in params])
+    if not np.isfinite(g).all():
+        bad = next(name for name in params if not np.isfinite(grads[name]).all())
+        raise NumericalAbortError(f"non-finite gradient in {bad!r}")
     state.step += 1
     t = state.step
     bias1 = 1.0 - BETA1**t
     bias2 = 1.0 - BETA2**t
-    for name, g in grads.items():
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        m_hat = state.m[name] / bias1
-        v_hat = state.v[name] / bias2
-        params[name] = params[name] - cfg.lr * (
-            m_hat / (np.sqrt(v_hat) + EPS) + cfg.weight_decay * params[name]
-        )
+    m, v = state.m, state.v
+    # m = BETA1 * m + (1 - BETA1) * g
+    m *= BETA1
+    tmp = np.multiply(g, 1.0 - BETA1)
+    m += tmp
+    # v = BETA2 * v + (1 - BETA2) * g * g
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    # update = (m / bias1) / (sqrt(v / bias2) + EPS) + weight_decay * theta
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += EPS
+    update = np.divide(m, bias1, out=g)
+    update /= tmp
+    # a fresh copy, so writing it leaves the old parameter arrays as they were
+    theta = np.concatenate([np.ravel(params[name]) for name in params])
+    np.multiply(theta, cfg.weight_decay, out=tmp)
+    update += tmp
+    # theta = theta - lr * update
+    update *= cfg.lr
+    theta -= update
+    offset = 0
+    for name, old in params.items():
+        params[name] = theta[offset : offset + old.size].reshape(old.shape)
+        offset += old.size
 
 
 @dataclass
@@ -180,7 +205,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
         if val_metrics["JS"] < best_js:
             best_js = val_metrics["JS"]
             best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_params = dict(params)  # opt_step replaces these arrays, never writes them
 
     test_preds = predict(best_params, cfg.model, ha_te, ht_te)[student]
     metrics = evalreport.all_metrics(test_preds, y_te)

@@ -260,3 +260,55 @@ def test_backward_is_deterministic_bitwise():
     ga2, gb2 = run()
     assert np.array_equal(ga1, ga2)
     assert np.array_equal(gb1, gb2)
+
+
+# Reference oracles: the straightforward `np.where` formulas the kernels
+# replaced. The kernels must give the same bytes, NaN payloads included.
+
+
+def _relu_oracle(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask
+
+
+def _sigmoid_oracle(x, g):
+    pos = x >= 0
+    z = np.exp(np.where(pos, -x, x))
+    y = np.where(pos, 1.0 / (1.0 + z), z / (1.0 + z))
+    return y, g * y * (1.0 - y)
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 745.2, -745.2])
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(8)
+    for scale in (1e-310, 1.0, 800.0):
+        for shape in ((128, 256), (7, 3), (1, 1), (5,)):
+            x = rng.standard_normal(shape) * scale
+            yield x, rng.standard_normal(shape)
+            x = x.copy()
+            picks = rng.integers(0, len(_SPECIALS), size=x.size)
+            flat = x.reshape(-1)
+            flat[::3] = _SPECIALS[picks[::3]]
+            yield x, rng.standard_normal(shape)
+    yield _SPECIALS.reshape(2, 5), np.linspace(-2.0, 2.0, 10).reshape(2, 5)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("op,oracle", [(ad.relu, _relu_oracle), (ad.sigmoid, _sigmoid_oracle)],
+                         ids=["relu", "sigmoid"])
+def test_elementwise_kernels_are_byte_equal_to_their_oracles(op, oracle):
+    for x_data, g in _kernel_inputs():
+        want_y, want_dx = oracle(x_data, g)
+        x = ad.Tensor(x_data.copy(), requires_grad=True)
+        g.setflags(write=False)
+        y = op(x)
+        assert _same_bytes(y.data, want_y)
+        assert _same_bytes(x.data, x_data)
+        x.grad = None
+        y._backward(g)
+        assert _same_bytes(x.grad, want_dx)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -313,6 +314,18 @@ def test_numerical_abort_exits_3(dataset, tmp_path, capsys):
     code = main(_train_args(dataset, out_dir, **{"--lr": "1e30"}))
     assert code == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+def _exit_in_worker(cell):
+    os._exit(7)
+
+
+def test_dead_worker_exits_4_with_a_message(dataset, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(trainer, "_run_cell", _exit_in_worker)
+    code = main(_train_args(dataset, tmp_path / "dead", **{"--jobs": 2}))
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("amber: worker process died:") and "Traceback" not in err
 
 
 def test_malformed_config_file_exits_2(dataset, tmp_path, capsys):

@@ -54,13 +54,15 @@ def test_opt_step_decoupled_decay_shrinks_without_gradient():
 
 def test_opt_step_rejects_non_finite_gradient_before_any_update():
     cfg = TrainConfig(model=_model_cfg())
-    params = {"a": np.asarray([1.0]), "b": np.asarray([2.0])}
+    params = {"a": np.asarray([1.0]), "b": np.asarray([2.0]), "c": np.asarray([3.0])}
     state = init_opt_state(params)
-    with pytest.raises(NumericalAbortError):
-        opt_step(params, {"a": np.asarray([0.5]), "b": np.asarray([np.nan])}, state, cfg)
+    grads = {"a": np.asarray([0.5]), "b": np.asarray([np.nan]), "c": np.asarray([np.inf])}
+    with pytest.raises(NumericalAbortError, match="'b'"):  # the first non-finite one
+        opt_step(params, grads, state, cfg)
     # nothing was touched, not even the finite-gradient parameter
     assert params["a"][0] == 1.0 and params["b"][0] == 2.0
     assert state.step == 0
+    assert not state.m.any() and not state.v.any()
 
 
 def test_opt_step_converges_on_convex_quadratic():
@@ -74,6 +76,50 @@ def test_opt_step_converges_on_convex_quadratic():
             break
     assert np.max(np.abs(params["x"] - target)) < 1e-6
     assert step <= 5000
+
+
+def _adamw_oracle(params, grads, m, v, step, cfg):
+    """The per-parameter AdamW update `opt_step` must reproduce bit for bit."""
+    b1, b2, eps = trainer_mod.BETA1, trainer_mod.BETA2, trainer_mod.EPS
+    bias1, bias2 = 1.0 - b1**step, 1.0 - b2**step
+    for name, g in grads.items():
+        m[name] = b1 * m[name] + (1.0 - b1) * g
+        v[name] = b2 * v[name] + (1.0 - b2) * g * g
+        m_hat = m[name] / bias1
+        v_hat = v[name] / bias2
+        params[name] = params[name] - cfg.lr * (
+            m_hat / (np.sqrt(v_hat) + eps) + cfg.weight_decay * params[name]
+        )
+
+
+def test_opt_step_is_byte_equal_to_per_parameter_adamw():
+    rng = np.random.default_rng(21)
+    cfg = TrainConfig(model=_model_cfg(), lr=3e-2, weight_decay=1e-2)
+    shapes = {"w": (7, 5), "b": (5,), "s": (), "col": (6, 1), "big": (40, 33)}
+    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    want_m = {k: np.zeros(s) for k, s in shapes.items()}
+    want_v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_opt_state(params)
+    for step in range(1, 6):
+        grads = {k: np.asarray(rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3))
+                 for k, s in shapes.items()}
+        grads["w"][0, 0] = 0.0
+        grads["big"][:, 3] = 5e-324
+        for g in grads.values():
+            g.setflags(write=False)
+        before = {k: (p, p.copy()) for k, p in params.items()}
+        opt_step(params, grads, state, cfg)
+        _adamw_oracle(want, grads, want_m, want_v, step, cfg)
+        for k in shapes:
+            assert params[k].shape == shapes[k]
+            assert params[k].tobytes() == want[k].tobytes()
+            old, snapshot = before[k]
+            assert old.tobytes() == snapshot.tobytes()  # the previous arrays are not written
+    assert state.step == 5
+    flat_m = np.concatenate([want_m[k].ravel() for k in shapes])
+    flat_v = np.concatenate([want_v[k].ravel() for k in shapes])
+    assert state.m.tobytes() == flat_m.tobytes() and state.v.tobytes() == flat_v.tobytes()
 
 
 def test_train_one_is_bit_identical():
