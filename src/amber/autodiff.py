@@ -14,8 +14,15 @@ Gradient buffers: a `requires_grad` leaf holds a zero buffer from
 construction, so a parameter the root never reaches reads zero. An interior
 node has `grad = None` until `backward` reaches it. `backward` resets every
 node it reaches to `None`; the first accumulation assigns the incoming array
-(so nodes may share one) and later ones add out of place. `stop_grad` is the
+(so nodes may share one) and later ones add out of place. Once an interior
+node's closure has routed its gradient on to its parents, `backward` drops
+that node's `grad` again, so only the leaves keep theirs and an interior
+gradient lives no longer than the step that consumes it. `stop_grad` is the
 one way to detach.
+
+Fused nodes: `linear` is `add(matmul(x, w), b)` and `gated_mix` is the gated
+fusion `g * a + (1 - g) * b`, each as one node that gives the same bytes as
+the composite, forward and backward, in fewer arrays.
 
 Gradient formulas clamp logarithm arguments at `GRAD_LOG_FLOOR`; forward
 values never clamp (the metric path must see exact zeros).
@@ -83,7 +90,9 @@ def backward(root: Tensor):
     order (children before parents), depth-first over the ordered parent
     tuples, so the accumulation order is deterministic. Every node reachable
     from the root is reset to `grad = None` first, so each call yields
-    exactly the gradient of this root, never a mix of calls.
+    exactly the gradient of this root, never a mix of calls. An interior
+    node's `grad` is released (set back to `None`) as soon as its closure
+    has passed it on; the leaves keep theirs.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")
@@ -108,6 +117,7 @@ def backward(root: Tensor):
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +150,27 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g.sum(axis=0) if bias else g)
 
     return _node(a.data + b.data, (a, b), bwd, "add")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` with a 1-D bias `b`: the bytes of `add(matmul(x, w), b)`
+    in one node, the bias added in place into the product."""
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise ValueError(f"linear bias shape {b.data.shape} does not fit {w.data.shape}")
+    y = x.data @ w.data
+    y += b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            _accumulate(x, g @ w.data.T)
+        if w.requires_grad:
+            _accumulate(w, x.data.T @ g)
+        if b.requires_grad:
+            _accumulate(b, g.sum(axis=0))
+
+    return _node(y, (x, w, b), bwd, "linear")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -220,6 +251,37 @@ def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, g * a.data)
 
     return _node(a.data * b.data, (a, b), bwd, "elementwise_mul")
+
+
+def gated_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """`g * a + (1 - g) * b` in two arrays it owns, `1 - g` recomputed in backward.
+
+    Bit-equal, forward and backward, to the composite
+    `add(elementwise_mul(g, a), elementwise_mul(add(ones, scalar_mul(-1, g)), b))`:
+    each array is built by the same float operations on the same operands in
+    the same order, and d/dg = -1 * (up * b) + up * a sums in the order the
+    composite's backward accumulates.
+    """
+    if not g.data.shape == a.data.shape == b.data.shape:
+        raise ValueError(f"gated_mix shape mismatch: {g.data.shape}, {a.data.shape}, {b.data.shape}")
+    y = g.data * a.data
+    rest = 1.0 - g.data
+    rest *= b.data
+    y += rest
+
+    def bwd(up):
+        if b.requires_grad:
+            db = 1.0 - g.data
+            _accumulate(b, np.multiply(up, db, out=db))
+        if g.requires_grad:
+            dg = up * b.data
+            np.multiply(-1.0, dg, out=dg)
+            dg += up * a.data
+            _accumulate(g, dg)
+        if a.requires_grad:
+            _accumulate(a, up * g.data)
+
+    return _node(y, (g, a, b), bwd, "gated_mix")
 
 
 def scalar_mul(c: float, x: Tensor) -> Tensor:

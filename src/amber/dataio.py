@@ -113,6 +113,8 @@ class SynthConfig:
             raise ValueError("conflict_rate must be in [0, 1]")
         if not 0 <= self.noise_sigma < np.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
+        if self.fold_count < 1:
+            raise ValueError("fold_count must be >= 1")
         if self.n_samples < self.fold_count:
             raise ValueError("need at least one sample per fold")
 

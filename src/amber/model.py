@@ -101,8 +101,8 @@ def head_forward(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
         )
     if not np.all(np.isfinite(h.data)):
         raise ValueError(f"non-finite input to head {modality!r}")
-    hid = ad.relu(ad.add(ad.matmul(h, w1), tensors[f"{modality}.b1"]))
-    logits = ad.add(ad.matmul(hid, tensors[f"{modality}.w2"]), tensors[f"{modality}.b2"])
+    hid = ad.relu(ad.linear(h, w1, tensors[f"{modality}.b1"]))
+    logits = ad.linear(hid, tensors[f"{modality}.w2"], tensors[f"{modality}.b2"])
     return ad.softmax(logits)
 
 
@@ -117,13 +117,11 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
             f"batch sizes differ: {h_a.data.shape[0]} vs {h_t.data.shape[0]}"
         )
     gate = ad.sigmoid(
-        ad.add(ad.matmul(ad.concat(h_a, h_t), tensors["fuse.gate_w"]), tensors["fuse.gate_b"])
+        ad.linear(ad.concat(h_a, h_t), tensors["fuse.gate_w"], tensors["fuse.gate_b"])
     )
     proj_a = ad.matmul(h_a, tensors["fuse.proj_a"])
     proj_t = ad.matmul(h_t, tensors["fuse.proj_t"])
-    ones = ad.constant(np.ones_like(gate.data))
-    inv_gate = ad.add(ones, ad.scalar_mul(-1.0, gate))
-    return ad.add(ad.elementwise_mul(gate, proj_a), ad.elementwise_mul(inv_gate, proj_t))
+    return ad.gated_mix(gate, proj_a, proj_t)
 
 
 def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig) -> dict:

@@ -131,12 +131,28 @@ class RunRecord:
     selected_params: dict
 
 
-def _batch_objective(objective, y, outputs, loss_cfg, student, class_weights):
-    if objective == "amber":
-        total, breakdown = amber_loss(y, outputs, loss_cfg, student)
-        return total, breakdown.as_log_dict()
-    total = cbce_loss(y, outputs[student], class_weights)
-    return total, {"cbce": float(total.data), "total": float(total.data)}
+def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
+    """Forward, loss, backward and `opt_step` on one batch; the loss fields.
+
+    The batch's graph lives only in this call's locals, so it is freed on
+    return, before the next batch's forward starts.
+    """
+    tensors = wrap_params(params)
+    outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model)
+    for m, out in outputs.items():
+        if not np.all(np.isfinite(out.data)):
+            raise NumericalAbortError(f"non-finite output of head {m!r}")
+    if cfg.objective == "amber":
+        total, breakdown = amber_loss(y, outputs, cfg.loss, cfg.model.student)
+        fields = breakdown.as_log_dict()
+    else:
+        total = cbce_loss(y, outputs[cfg.model.student], class_weights)
+        fields = {"cbce": float(total.data), "total": float(total.data)}
+    if not np.isfinite(total.data):
+        raise NumericalAbortError("non-finite training loss")
+    ad.backward(total)
+    opt_step(params, {name: t.grad for name, t in tensors.items()}, state, cfg)
+    return fields
 
 
 def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
@@ -165,26 +181,10 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
         batch_fields = []
         for start in range(0, len(order), cfg.batch):
             rows = order[start : start + cfg.batch]
-            tensors = wrap_params(params)
-            outputs = forward_all(
-                tensors, ad.constant(ha_tr[rows]), ad.constant(ht_tr[rows]), cfg.model
-            )
-            for m, out in outputs.items():
-                if not np.all(np.isfinite(out.data)):
-                    raise NumericalAbortError(
-                        f"non-finite output of head {m!r}", epoch=epoch, batch=start // cfg.batch
-                    )
-            total, fields = _batch_objective(
-                cfg.objective, y_tr[rows], outputs, cfg.loss, student, class_weights
-            )
-            if not np.isfinite(total.data):
-                raise NumericalAbortError(
-                    "non-finite training loss", epoch=epoch, batch=start // cfg.batch
-                )
             try:
-                ad.backward(total)
-                grads = {name: t.grad for name, t in tensors.items()}
-                opt_step(params, grads, state, cfg)
+                fields = _train_step(
+                    params, state, cfg, ha_tr[rows], ht_tr[rows], y_tr[rows], class_weights
+                )
             except NumericalAbortError as exc:
                 raise NumericalAbortError(
                     str(exc), epoch=epoch, batch=start // cfg.batch

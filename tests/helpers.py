@@ -9,6 +9,8 @@ evaluation point, assert its gradients match the production graph bitwise,
 and finite-difference the frozen reconstruction.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from amber import autodiff as ad
@@ -110,3 +112,20 @@ def full_amber_grad_check(seed, loss_cfg=None, h=1e-4, tol=1e-4):
         t.zero_grad()
     result = ad.grad_check(f, inputs, h=h, tol=tol)
     return bitwise, result
+
+
+def traced_peak_bytes(fn):
+    """Peak bytes allocated above the starting level while `fn()` runs.
+
+    numpy reports its array buffers to `tracemalloc`, so the figure counts
+    every array the call holds at once and does not depend on the allocator
+    or on what the process held before.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

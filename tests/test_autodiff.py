@@ -44,6 +44,13 @@ def _op_case(name, rng):
         b = ad.Tensor(rng.standard_normal(shape[1]), requires_grad=True)
         down = _scalarizer(rng, shape)
         return lambda a, b: down(ad.add(a, b)), [a, b]
+    if name == "linear":
+        m, k, n = (int(rng.integers(1, 6)) for _ in range(3))
+        x = ad.Tensor(rng.standard_normal((m, k)), requires_grad=True)
+        w = ad.Tensor(rng.standard_normal((k, n)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(n), requires_grad=True)
+        down = _scalarizer(rng, (m, n))
+        return lambda x, w, b: down(ad.linear(x, w, b)), [x, w, b]
     if name == "relu":
         x = ad.Tensor(_away_from(rng, (3, 4)), requires_grad=True)
         down = _scalarizer(rng, (3, 4))
@@ -68,6 +75,13 @@ def _op_case(name, rng):
         b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         down = _scalarizer(rng, shape)
         return lambda a, b: down(ad.elementwise_mul(a, b)), [a, b]
+    if name == "gated_mix":
+        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+        g = ad.Tensor(rng.uniform(0.0, 1.0, size=shape), requires_grad=True)
+        a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+        down = _scalarizer(rng, shape)
+        return lambda g, a, b: down(ad.gated_mix(g, a, b)), [g, a, b]
     if name == "scalar_mul":
         c = float(rng.standard_normal())
         x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -94,11 +108,13 @@ OP_NAMES = (
     "matmul",
     "add",
     "add_bias",
+    "linear",
     "relu",
     "sigmoid",
     "softmax",
     "concat",
     "elementwise_mul",
+    "gated_mix",
     "scalar_mul",
     "mean",
     "js_loss",
@@ -153,6 +169,12 @@ def test_shape_mismatches_raise():
         ad.concat(a, ad.constant(np.zeros((3, 3))))
     with pytest.raises(ValueError):
         ad.js_loss_node(a, ad.constant(np.zeros((2, 4))))
+    with pytest.raises(ValueError):
+        ad.linear(a, ad.constant(np.zeros((2, 4))), ad.constant(np.zeros(4)))
+    with pytest.raises(ValueError):
+        ad.linear(a, ad.constant(np.zeros((3, 4))), ad.constant(np.zeros(3)))
+    with pytest.raises(ValueError):
+        ad.gated_mix(a, b, ad.constant(np.zeros((3, 2))))
 
 
 def test_js_loss_identical_inputs_zero_value_zero_grad():
@@ -201,6 +223,28 @@ def test_backward_twice_on_one_graph_gives_the_same_leaf_gradients():
     for t, g in zip((x, w, b), first):
         assert np.array_equal(t.grad, g)
     assert np.array_equal(unreached.grad, np.zeros(2))
+
+
+def test_backward_releases_interior_gradients_and_leaves_keep_theirs():
+    rng = np.random.default_rng(43)
+    x = ad.constant(rng.standard_normal((4, 3)))
+    w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
+    v = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    h = ad.linear(x, w, b)
+    gate = ad.sigmoid(h)
+    hid = ad.relu(h)
+    mix = ad.gated_mix(gate, hid, v)
+    prod = ad.elementwise_mul(mix, h)
+    probs = ad.softmax(prod)
+    out = ad.js_loss_node(probs, ad.constant(np.full((4, 2), 0.5)))
+    interior = (h, gate, hid, mix, prod, probs, out)
+    ad.backward(out)
+    assert all(t.grad is None for t in interior)
+    for leaf in (w, b, v):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
+        assert np.any(leaf.grad != 0)
+    assert x.grad is None
 
 
 def test_grad_check_sum_of_squares():
@@ -281,17 +325,22 @@ def _sigmoid_oracle(x, g):
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 745.2, -745.2])
 
 
+def _with_specials(rng, x, every=3):
+    """A copy of `x` with every `every`-th entry replaced by a random special value."""
+    x = x.copy()
+    picks = rng.integers(0, len(_SPECIALS), size=x.size)
+    flat = x.reshape(-1)
+    flat[::every] = _SPECIALS[picks[::every]]
+    return x
+
+
 def _kernel_inputs():
     rng = np.random.default_rng(8)
     for scale in (1e-310, 1.0, 800.0):
         for shape in ((128, 256), (7, 3), (1, 1), (5,)):
             x = rng.standard_normal(shape) * scale
             yield x, rng.standard_normal(shape)
-            x = x.copy()
-            picks = rng.integers(0, len(_SPECIALS), size=x.size)
-            flat = x.reshape(-1)
-            flat[::3] = _SPECIALS[picks[::3]]
-            yield x, rng.standard_normal(shape)
+            yield _with_specials(rng, x), rng.standard_normal(shape)
     yield _SPECIALS.reshape(2, 5), np.linspace(-2.0, 2.0, 10).reshape(2, 5)
 
 
@@ -312,3 +361,64 @@ def test_elementwise_kernels_are_byte_equal_to_their_oracles(op, oracle):
         x.grad = None
         y._backward(g)
         assert _same_bytes(x.grad, want_dx)
+
+
+# The fused nodes against the composites they replace, through `backward`'s
+# own traversal, so the order in which a shared input sums its contributions
+# is part of what is compared.
+
+
+def _route(out, upstream, leaves):
+    """Forward bytes of `out` and each leaf's gradient when `upstream` flows into `out`."""
+    probe = ad._node(np.asarray(0.0), (out,), lambda _: ad._accumulate(out, upstream), "probe")
+    ad.backward(probe)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def _linear_composite(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _gated_mix_composite(g, a, b):
+    inv_gate = ad.add(ad.constant(np.ones_like(g.data)), ad.scalar_mul(-1.0, g))
+    return ad.add(ad.elementwise_mul(g, a), ad.elementwise_mul(inv_gate, b))
+
+
+def _fused_op_inputs():
+    """{op name: (operands, upstream)} per case, specials included."""
+    rng = np.random.default_rng(12)
+    for scale in (1e-310, 1.0, 800.0):
+        for m, k, n in ((128, 16, 256), (7, 3, 5), (1, 1, 1)):
+            for special in (False, True):
+                lin = [rng.standard_normal((m, k)) * scale, rng.standard_normal((k, n)),
+                       rng.standard_normal(n) * scale]
+                mix = [rng.uniform(0.0, 1.0, (m, n)), rng.standard_normal((m, n)) * scale,
+                       rng.standard_normal((m, n)) * scale]
+                up = rng.standard_normal((m, n))
+                if special:
+                    lin, mix = [_with_specials(rng, v) for v in lin], [_with_specials(rng, v) for v in mix]
+                    up = _with_specials(rng, up, every=2)
+                yield {"linear": (lin, up), "gated_mix": (mix, up)}
+    nans, snan = _SPECIALS[[4, 5] * 5].reshape(2, 5), _SPECIALS[[5, 4] * 5].reshape(2, 5)
+    yield {
+        "linear": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(5, 2), _SPECIALS[3:5]],
+                   _SPECIALS[[5, 4, 2, 3]].reshape(2, 2)),
+        "gated_mix": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(2, 5), nans], snan),
+    }
+
+
+@pytest.mark.parametrize("fused,composite", [(ad.linear, _linear_composite),
+                                             (ad.gated_mix, _gated_mix_composite)],
+                         ids=["linear", "gated_mix"])
+def test_fused_ops_are_byte_equal_to_their_composites(fused, composite):
+    for case in _fused_op_inputs():
+        operands, up = case[fused.__name__]
+        up.setflags(write=False)
+        results = []
+        for build in (fused, composite):
+            leaves = [ad.Tensor(v.copy(), requires_grad=True) for v in operands]
+            with np.errstate(all="ignore"):  # inf - inf and the like are part of the cases
+                results.append(_route(build(*leaves), up, leaves))
+            assert all(_same_bytes(t.data, v) for t, v in zip(leaves, operands))
+        for got, want in zip(*results):
+            assert _same_bytes(got, want)

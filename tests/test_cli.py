@@ -82,6 +82,17 @@ def test_gen_rejects_an_alpha_the_dirichlet_draw_overflows_on(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_rejects_zero_folds_before_drawing_any_sample(tmp_path, monkeypatch, capsys):
+    def never(cfg):
+        raise AssertionError("generate_synthetic must not run for an invalid config")
+
+    monkeypatch.setattr("amber.cli.generate_synthetic", never)
+    out = tmp_path / "x.jsonl"
+    assert main(_gen_args(out, folds=0)) == 1
+    assert "fold_count" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["gen", "--samples", "10", "--classes", "3", "--frobnicate", "1"]) == 1
 

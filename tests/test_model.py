@@ -17,9 +17,12 @@ from amber.model import (
     init_params,
     load_checkpoint,
     param_shapes,
+    predict,
     save_checkpoint,
     wrap_params,
 )
+
+from helpers import traced_peak_bytes
 
 
 def _zeros_params(cfg):
@@ -295,3 +298,15 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         path.write_text(text)
         with pytest.raises(DataValidationError, match="invalid checkpoint"):
             load_checkpoint(path)
+
+
+def test_predict_holds_at_most_six_batch_by_width_arrays_at_once():
+    # A unit is one rows x width float64 array. The gated fusion is the peak:
+    # the gate, both projections and the mix's two arrays, 5 units.
+    rows, width = 4000, 256
+    cfg = ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=width, fusion_dim=width)
+    params = init_params(cfg, 0)
+    rng = np.random.default_rng(1)
+    h_a, h_t = rng.standard_normal((rows, 16)), rng.standard_normal((rows, 16))
+    units = traced_peak_bytes(lambda: predict(params, cfg, h_a, h_t)) / (rows * width * 8)
+    assert units <= 6.0, f"predict peaked at {units:.2f} units"
