@@ -288,7 +288,7 @@ def cmd_train(ns, parser):
     manifest = _manifest(
         "train",
         stable,
-        _sha256_file(ns.data),
+        ds.sha256,
         execution={
             "data": str(ns.data),
             "jobs": resolved["jobs"],

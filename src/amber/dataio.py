@@ -13,7 +13,10 @@ bookkeeping fields.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +26,11 @@ import numpy as np
 from .errors import DataValidationError
 
 SCHEMA = "amber-ds-v1"
+
+# Format tag of the column cache beside a dataset file (see `load_jsonl`).
+# Bump it whenever the checks a parse makes change, so that no sidecar
+# written under the old checks is read.
+CACHE_FORMAT = "amber-ds-cache-v1"
 
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
@@ -45,6 +53,8 @@ class Dataset:
     """Columns of per-sample data; row i belongs to fold i % fold_count.
 
     `y` (soft labels) is derived from `votes` once, at construction.
+    `sha256` is the hex digest of the file `load_jsonl` read the rows from,
+    None for a dataset made in memory.
     """
 
     ids: np.ndarray
@@ -52,6 +62,7 @@ class Dataset:
     h_t: np.ndarray
     votes: np.ndarray
     fold_count: int
+    sha256: str | None = None
 
     def __post_init__(self):
         if self.fold_count < 1:
@@ -211,6 +222,31 @@ def write_text_atomic(path, text):
         raise
 
 
+def encode_array(arr, dtype) -> str:
+    """Standard base64 of `arr`'s values as `dtype` (little-endian, "<f8" or "<i8"), in C order."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype)).decode("ascii")
+
+
+def decode_array(text, dtype, shape) -> np.ndarray:
+    """The writable native-order array of `shape` that `encode_array` wrote as `text`.
+
+    Raises `ValueError` if `text` is not a base64 string of exactly the bytes
+    `shape` needs; its message reads on from "data", as in "data is not
+    valid base64".
+    """
+    if not isinstance(text, str):
+        raise ValueError("must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        raise ValueError("is not valid base64") from None
+    dtype = np.dtype(dtype)
+    need = dtype.itemsize * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"holds {len(raw)} bytes, its shape needs {need}")
+    return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(shape)
+
+
 def save_jsonl(ds: Dataset, path):
     """Write the dataset in record order, atomically; floats round-trip exactly via repr."""
     header = {
@@ -230,9 +266,38 @@ def save_jsonl(ds: Dataset, path):
 
 
 def load_jsonl(path) -> Dataset:
-    """Parse and validate a dataset file; every failure names its line."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """Parse and validate a dataset file; every failure names its line.
+
+    The file's bytes are read once and hashed (sha256). The validated
+    columns are cached in a sidecar `.<name>.amber-cache` next to the file,
+    keyed by that digest, so a load of unchanged bytes reads the columns
+    from there instead of parsing again. A sidecar that is missing,
+    unreadable, keyed to other bytes or failing its checks is ignored and
+    rewritten after the parse; where it cannot be written (a read-only
+    directory) the load goes on without it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
+    cache = Path(path).with_name(f".{Path(path).name}.amber-cache")
+    ds = _read_cache(cache, digest)
+    if ds is None:
+        ds = _parse(data, path, digest)
+        try:
+            write_text_atomic(cache, _cache_text(ds))
+        except OSError:
+            pass
+    return ds
+
+
+def _parse(data, path, digest):
+    """The dataset in `data`, the bytes of `path` whose sha256 is `digest`, checked line by line."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DataValidationError(f"invalid UTF-8 ({exc.reason})", line=line, path=path) from None
+    lines = text.splitlines()
     if not lines:
         raise DataValidationError("empty dataset file", path=path)
 
@@ -257,8 +322,7 @@ def load_jsonl(path) -> Dataset:
         if not raw.strip():
             continue
         record = _parse_json(raw, line_no, path)
-        i = len(ids)
-        sample_id = _parse_record(record, h_a[i], h_t[i], votes[i], line_no, path)
+        sample_id = _parse_record(record, len(ids), h_a, h_t, votes, line_no, path)
         if sample_id in seen_ids:
             raise DataValidationError(f"duplicate id {sample_id!r}", line=line_no, path=path)
         seen_ids.add(sample_id)
@@ -267,7 +331,7 @@ def load_jsonl(path) -> Dataset:
     n = len(ids)
     if n < folds:
         raise DataValidationError(f"{n} records cannot fill {folds} folds", path=path)
-    return Dataset(np.array(ids, dtype=object), h_a[:n], h_t[:n], votes[:n], folds)
+    return Dataset(np.array(ids, dtype=object), h_a[:n], h_t[:n], votes[:n], folds, digest)
 
 
 def _parse_json(raw, line_no, path):
@@ -282,50 +346,113 @@ def _parse_json(raw, line_no, path):
 
 # JSON numbers parse to these types; bool, str, list and None are rejected.
 _NUMBER_TYPES = {int, float}
+_INT_TYPES = {int}
 
 
-def _parse_record(record, h_a, h_t, votes, line_no, path):
-    """Validate one record into the given rows; returns its id."""
-
-    def fail(msg):
-        raise DataValidationError(msg, line=line_no, path=path)
-
+def _parse_record(record, i, h_a, h_t, votes, line_no, path):
+    """Validate one record into row `i` of the given columns; returns its id."""
     sample_id = record.get("id")
     if not isinstance(sample_id, str) or not sample_id:
-        fail("missing or invalid 'id'")
-
-    def vector(key, out):
-        v = record.get(key)
-        if not isinstance(v, list) or len(v) != len(out):
-            fail(f"'{key}' must be a list of length {len(out)}")
-        if not set(map(type, v)) <= _NUMBER_TYPES:
-            fail(f"'{key}' entries must be numbers")
-        try:
-            out[:] = v
-        except OverflowError:  # an integer literal beyond the float range
-            fail(f"non-finite values in '{key}'")
-        if not np.all(np.isfinite(out)):
-            fail(f"non-finite values in '{key}'")
-
-    vector("h_a", h_a)
-    vector("h_t", h_t)
+        raise DataValidationError("missing or invalid 'id'", line=line_no, path=path)
+    _fill_numbers(record.get("h_a"), "h_a", h_a, i, line_no, path)
+    _fill_numbers(record.get("h_t"), "h_t", h_t, i, line_no, path)
 
     raw_votes = record.get("votes")
-    if not isinstance(raw_votes, list) or len(raw_votes) != len(votes):
-        fail(f"'votes' must be a list of length {len(votes)}")
-    if not set(map(type, raw_votes)) <= {int} or min(raw_votes) < 0:
-        fail("'votes' entries must be non-negative integers")
+    n_classes = votes.shape[1]
+    if not isinstance(raw_votes, list) or len(raw_votes) != n_classes:
+        raise DataValidationError(f"'votes' must be a list of length {n_classes}", line=line_no, path=path)
+    if not set(map(type, raw_votes)) <= _INT_TYPES or min(raw_votes) < 0:
+        raise DataValidationError("'votes' entries must be non-negative integers", line=line_no, path=path)
     total = sum(raw_votes)
     if total < 1:
-        fail("invalid votes: at least one rater vote is required")
+        raise DataValidationError("invalid votes: at least one rater vote is required", line=line_no, path=path)
     if total >= 2**63:
-        fail("invalid votes: the vote total exceeds the int64 range")
-    votes[:] = raw_votes
+        raise DataValidationError("invalid votes: the vote total exceeds the int64 range", line=line_no, path=path)
+    votes[i] = raw_votes
 
     if "y" in record:
-        stored = np.empty(len(votes))
-        vector("y", stored)
-        if np.max(np.abs(stored - _soft_labels(votes[np.newaxis])[0])) > Y_CROSSCHECK_TOL:
-            fail("stored 'y' disagrees with normalized votes")
+        stored = np.empty((1, n_classes))
+        _fill_numbers(record["y"], "y", stored, 0, line_no, path)
+        if np.max(np.abs(stored - _soft_labels(votes[i:i + 1]))) > Y_CROSSCHECK_TOL:
+            raise DataValidationError("stored 'y' disagrees with normalized votes", line=line_no, path=path)
 
     return sample_id
+
+
+def _fill_numbers(values, key, out, i, line_no, path):
+    """Copy `values`, which must be a list of finite JSON numbers, into row `i` of `out`."""
+    width = out.shape[1]
+    if not isinstance(values, list) or len(values) != width:
+        raise DataValidationError(f"'{key}' must be a list of length {width}", line=line_no, path=path)
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        raise DataValidationError(f"'{key}' entries must be numbers", line=line_no, path=path)
+    try:
+        finite = all(map(math.isfinite, values))
+        out[i] = values
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
+    if not finite:
+        raise DataValidationError(f"non-finite values in '{key}'", line=line_no, path=path)
+
+
+# ---------------------------------------------------------------------------
+# column cache
+
+
+def _cache_text(ds):
+    """The sidecar of a dataset parsed from the bytes whose sha256 is `ds.sha256`."""
+    return json.dumps({
+        "format": CACHE_FORMAT,
+        "sha256": ds.sha256,
+        "C": ds.n_classes,
+        "dim_a": ds.dim_a,
+        "dim_t": ds.dim_t,
+        "folds": ds.fold_count,
+        "ids": ds.ids.tolist(),
+        "h_a": encode_array(ds.h_a, "<f8"),
+        "h_t": encode_array(ds.h_t, "<f8"),
+        "votes": encode_array(ds.votes, "<i8"),
+    }) + "\n"
+
+
+def _read_cache(cache, digest):
+    """The dataset a sidecar holds for the bytes of `digest`, or None.
+
+    The columns pass the checks a parse makes of them again: shapes,
+    finite features, non-negative votes whose row totals lie in [1, 2**63),
+    unique non-empty ids and at least `folds` rows.
+    """
+    try:
+        with open(cache, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(blob, dict) or blob.get("format") != CACHE_FORMAT or blob.get("sha256") != digest:
+        return None
+    dims = [blob.get(key) for key in ("C", "dim_a", "dim_t", "folds")]
+    ids = blob.get("ids")
+    if any(type(v) is not int for v in dims) or not isinstance(ids, list):
+        return None
+    n_classes, dim_a, dim_t, folds = dims
+    rows = len(ids)
+    if n_classes < 2 or dim_a < 1 or dim_t < 1 or not 1 <= folds <= rows:
+        return None
+    if not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows:
+        return None
+    try:  # popped, so that each base64 text is freed once it is decoded
+        h_a = decode_array(blob.pop("h_a", None), "<f8", (rows, dim_a))
+        h_t = decode_array(blob.pop("h_t", None), "<f8", (rows, dim_t))
+        votes = decode_array(blob.pop("votes", None), "<i8", (rows, n_classes))
+    except ValueError:
+        return None
+    if not (np.isfinite(h_a).all() and np.isfinite(h_t).all() and (votes >= 0).all()):
+        return None
+    # each vote is below 2**63, so a running total below 2**63 never wraps in uint64
+    total = np.zeros(rows, dtype=np.uint64)
+    for column in votes.T.astype(np.uint64):
+        total += column
+        if (total >= 2**63).any():
+            return None
+    if not (total >= 1).all():
+        return None
+    return Dataset(np.array(ids, dtype=object), h_a, h_t, votes, folds, digest)

@@ -8,14 +8,13 @@ other two act as experts.
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import write_text_atomic
+from .dataio import decode_array, encode_array, write_text_atomic
 from .errors import DataValidationError
 
 MODALITIES = ("a", "t", "at")
@@ -135,10 +134,16 @@ def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig)
 
 
 def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) -> dict:
-    """Gradient-free forward pass; returns plain arrays per modality."""
+    """Gradient-free forward pass of the student alone: `{cfg.student: rows}`.
+
+    Only the student head runs, after the fusion if the student is "at"; its
+    rows are bit-equal to `forward_all(...)[cfg.student]`.
+    """
     tensors = wrap_params(params, requires_grad=False)
-    outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg)
-    return {m: out.data for m, out in outputs.items()}
+    h = {"a": ad.constant(h_a), "t": ad.constant(h_t)}
+    if cfg.student == "at":
+        h["at"] = fuse(tensors, h["a"], h["t"])
+    return {cfg.student: head_forward(tensors, cfg.student, h[cfg.student]).data}
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +174,7 @@ def _checkpoint_text(cfg, params, provenance):
             raise TypeError(f"parameter {name!r} must be float64, got {arr.dtype}")
         # no local keeps the encoding, so the previous one is gone before the next is made
         yield (f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(arr.shape))}, "data": "'
-               f'{base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")}"}}')
+               f'{encode_array(arr, "<f8")}"}}')
     yield "}}\n"
 
 
@@ -220,18 +225,12 @@ def load_checkpoint(path):
     for name, shape in expected.items():
         entry = blob["params"][name]
         check_keys(entry, ("shape", "data"), (), f"parameter {name!r}")
-        data = entry["data"]
         if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
             raise invalid(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
-        if not isinstance(data, str):
-            raise invalid(f"parameter {name!r} data must be a base64 string")
         try:
-            raw = base64.b64decode(data, validate=True)
-        except ValueError:
-            raise invalid(f"parameter {name!r} data is not valid base64") from None
-        if len(raw) != 8 * np.prod(shape):
-            raise invalid(f"parameter {name!r} data holds {len(raw)} bytes, its shape needs {8 * np.prod(shape)}")
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            arr = decode_array(entry["data"], "<f8", shape)
+        except ValueError as exc:
+            raise invalid(f"parameter {name!r} data {exc}") from None
         if not np.all(np.isfinite(arr)):
             raise invalid(f"non-finite values in parameter {name!r}")
         params[name] = arr

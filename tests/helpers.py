@@ -9,11 +9,14 @@ evaluation point, assert its gradients match the production graph bitwise,
 and finite-difference the frozen reconstruction.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 
 from amber import autodiff as ad
+from amber.dataio import SCHEMA, Y_CROSSCHECK_TOL, Dataset, _soft_labels
+from amber.errors import DataValidationError
 from amber.losses import LossConfig, amber_loss
 from amber.model import ModelConfig, forward_all, init_params, wrap_params
 
@@ -129,3 +132,109 @@ def traced_peak_bytes(fn):
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# dataset parse oracle
+
+
+def oracle_load_jsonl(path) -> Dataset:
+    """`load_jsonl` as it was before the column cache: the oracle of its parse."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise DataValidationError("empty dataset file", path=path)
+
+    header = _oracle_parse_json(lines[0], 1, path)
+    if header.get("schema") != SCHEMA:
+        raise DataValidationError(f"unknown schema {header.get('schema')!r}", line=1, path=path)
+    for key in ("C", "dim_a", "dim_t", "folds"):
+        if type(header.get(key)) is not int:
+            raise DataValidationError(f"bad header: {key!r} must be an integer", line=1, path=path)
+    n_classes, dim_a, dim_t, folds = header["C"], header["dim_a"], header["dim_t"], header["folds"]
+    if n_classes < 2 or dim_a < 1 or dim_t < 1 or folds < 1:
+        raise DataValidationError("header dimensions out of range", line=1, path=path)
+
+    # One row per line at most; blank lines leave unused rows at the end.
+    rows = len(lines) - 1
+    h_a = np.empty((rows, dim_a))
+    h_t = np.empty((rows, dim_t))
+    votes = np.empty((rows, n_classes), dtype=np.int64)
+    ids = []
+    seen_ids = set()
+    for line_no, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        record = _oracle_parse_json(raw, line_no, path)
+        i = len(ids)
+        sample_id = _oracle_parse_record(record, h_a[i], h_t[i], votes[i], line_no, path)
+        if sample_id in seen_ids:
+            raise DataValidationError(f"duplicate id {sample_id!r}", line=line_no, path=path)
+        seen_ids.add(sample_id)
+        ids.append(sample_id)
+
+    n = len(ids)
+    if n < folds:
+        raise DataValidationError(f"{n} records cannot fill {folds} folds", path=path)
+    return Dataset(np.array(ids, dtype=object), h_a[:n], h_t[:n], votes[:n], folds)
+
+
+def _oracle_parse_json(raw, line_no, path):
+    try:
+        value = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise DataValidationError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from None
+    if not isinstance(value, dict):
+        raise DataValidationError("expected a JSON object", line=line_no, path=path)
+    return value
+
+
+# JSON numbers parse to these types; bool, str, list and None are rejected.
+_ORACLE_NUMBER_TYPES = {int, float}
+
+
+def _oracle_parse_record(record, h_a, h_t, votes, line_no, path):
+    """Validate one record into the given rows; returns its id."""
+
+    def fail(msg):
+        raise DataValidationError(msg, line=line_no, path=path)
+
+    sample_id = record.get("id")
+    if not isinstance(sample_id, str) or not sample_id:
+        fail("missing or invalid 'id'")
+
+    def vector(key, out):
+        v = record.get(key)
+        if not isinstance(v, list) or len(v) != len(out):
+            fail(f"'{key}' must be a list of length {len(out)}")
+        if not set(map(type, v)) <= _ORACLE_NUMBER_TYPES:
+            fail(f"'{key}' entries must be numbers")
+        try:
+            out[:] = v
+        except OverflowError:  # an integer literal beyond the float range
+            fail(f"non-finite values in '{key}'")
+        if not np.all(np.isfinite(out)):
+            fail(f"non-finite values in '{key}'")
+
+    vector("h_a", h_a)
+    vector("h_t", h_t)
+
+    raw_votes = record.get("votes")
+    if not isinstance(raw_votes, list) or len(raw_votes) != len(votes):
+        fail(f"'votes' must be a list of length {len(votes)}")
+    if not set(map(type, raw_votes)) <= {int} or min(raw_votes) < 0:
+        fail("'votes' entries must be non-negative integers")
+    total = sum(raw_votes)
+    if total < 1:
+        fail("invalid votes: at least one rater vote is required")
+    if total >= 2**63:
+        fail("invalid votes: the vote total exceeds the int64 range")
+    votes[:] = raw_votes
+
+    if "y" in record:
+        stored = np.empty(len(votes))
+        vector("y", stored)
+        if np.max(np.abs(stored - _soft_labels(votes[np.newaxis])[0])) > Y_CROSSCHECK_TOL:
+            fail("stored 'y' disagrees with normalized votes")
+
+    return sample_id

@@ -227,7 +227,7 @@ def test_train_rejects_a_model_too_large_to_allocate(dataset, tmp_path, capsys, 
     monkeypatch.setattr(trainer, "cross_validate", lambda *args, **kwargs: pytest.fail("training started"))
     assert main(_train_args(dataset, tmp_path / "run", **{flag: value})) == 1
     assert "parameters per run, more than" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.jsonl", "ds.jsonl.manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".ds.jsonl.amber-cache", "ds.jsonl", "ds.jsonl.manifest.json"]
 
 
 def test_eval_rejects_more_bins_than_the_split_rows(dataset, tmp_path, capsys):
@@ -317,6 +317,24 @@ def test_malformed_datasets_exit_2_with_line_numbers(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, name
         assert "line" in err, name
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_invalid_utf8_in_a_dataset_exits_2_naming_its_line(dataset, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run)) == 0
+    lines = dataset.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b'"id": "', b'"id": "\xff', 1)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    if command == "train":
+        args = _train_args(bad, tmp_path / "bad-run")
+    else:
+        args = ["eval", "--checkpoint", str(run / "checkpoints" / "ckpt-f0-s0.json"), "--data", str(bad),
+                "--out-dir", str(tmp_path / "bad-eval")]
+    assert main(args) == 2
+    assert f"amber: data validation error: {bad}: line 4: invalid UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

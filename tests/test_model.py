@@ -300,6 +300,19 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
             load_checkpoint(path)
 
 
+@pytest.mark.parametrize("student", MODALITIES)
+def test_predict_runs_the_student_alone_byte_equal_to_forward_all(student):
+    cfg = ModelConfig(dim_a=5, dim_t=3, n_classes=4, hidden=7, fusion_dim=6, student=student)
+    params = init_params(cfg, 4)
+    rng = np.random.default_rng(5)
+    h_a, h_t = rng.standard_normal((50, 5)), rng.standard_normal((50, 3))
+    full = forward_all(wrap_params(params, requires_grad=False), ad.constant(h_a), ad.constant(h_t), cfg)
+    out = predict(params, cfg, h_a, h_t)
+    assert list(out) == [student]
+    assert out[student].dtype == full[student].data.dtype
+    assert out[student].tobytes() == full[student].data.tobytes()
+
+
 def test_predict_holds_at_most_six_batch_by_width_arrays_at_once():
     # A unit is one rows x width float64 array. The gated fusion is the peak:
     # the gate, both projections and the mix's two arrays, 5 units.
