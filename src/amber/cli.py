@@ -119,14 +119,6 @@ def build_parser() -> _Parser:
 # helpers
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _manifest(command, config, dataset_sha=None, execution=None):
     """Resolved-run record; the hash covers identity, not execution details.
 
@@ -256,7 +248,7 @@ def cmd_gen(ns, parser):
     manifest = _manifest(
         "gen",
         asdict(cfg),
-        dataset_sha=_sha256_file(ns.out),
+        dataset_sha=hashlib.sha256(Path(ns.out).read_bytes()).hexdigest(),
         execution={"outputs": {"dataset": str(ns.out)}},
     )
     _write_json(str(ns.out) + ".manifest.json", manifest)

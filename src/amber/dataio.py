@@ -313,9 +313,12 @@ def _parse(data, path, digest):
 
     # One row per line at most; blank lines leave unused rows at the end.
     rows = len(lines) - 1
-    h_a = np.empty((rows, dim_a))
-    h_t = np.empty((rows, dim_t))
-    votes = np.empty((rows, n_classes), dtype=np.int64)
+    try:
+        h_a = np.empty((rows, dim_a))
+        h_t = np.empty((rows, dim_t))
+        votes = np.empty((rows, n_classes), dtype=np.int64)
+    except (ValueError, MemoryError):
+        raise DataValidationError("header dimensions too large to allocate", line=1, path=path) from None
     ids = []
     seen_ids = set()
     for line_no, raw in enumerate(lines[1:], start=2):
@@ -339,6 +342,10 @@ def _parse_json(raw, line_no, path):
         value = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise DataValidationError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from None
+    except ValueError:  # an integer literal longer than int() converts
+        raise DataValidationError("malformed JSON (integer literal too long)", line=line_no, path=path) from None
+    except RecursionError:
+        raise DataValidationError("malformed JSON (nested too deeply)", line=line_no, path=path) from None
     if not isinstance(value, dict):
         raise DataValidationError("expected a JSON object", line=line_no, path=path)
     return value

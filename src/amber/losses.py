@@ -4,7 +4,8 @@ The dual-ambiguity objective combines two terms. The rater term pulls the
 student distribution toward the annotator soft labels with base-2 JS
 divergence. The modality term is a reliability-weighted JS consistency loss
 between the student and the expert heads, where an expert's weight grows as
-its own divergence from the soft labels shrinks.
+its own divergence from the soft labels shrinks. One JS node per head against
+the labels gives the rater term, those divergences and the expert supervision.
 
 Gradient-flow policy: the reliability weights u_m are computed from detached
 forward values and never carry gradient. In the default "detached" mode the
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import distlib
 from .model import MODALITIES
 
 
@@ -68,7 +68,6 @@ def rai_loss(y: np.ndarray, s: ad.Tensor) -> ad.Tensor:
 
     The labels are constants; gradient flows into the student only.
     """
-    y = np.asarray(y, dtype=np.float64)
     return ad.js_loss_node(ad.constant(y), s)
 
 
@@ -91,24 +90,22 @@ def expert_weights(d: dict, kappa: float) -> dict:
     return {m: float(w[i]) for i, m in enumerate(names)}
 
 
-def mai_loss(s: ad.Tensor, experts: dict, y: np.ndarray, cfg: LossConfig):
+def mai_loss(s: ad.Tensor, experts: dict, d: dict, cfg: LossConfig):
     """Reliability-weighted consistency between the student and each expert.
 
-    Returns (scalar node, weights u, divergences d). d_m is the batch-mean
-    JS between expert m and the soft labels, computed on detached values;
-    the loss is sum_m u_m * mean JS(s || p_m).
+    `d` holds each expert's batch-mean JS from the soft labels, a detached
+    value. Returns (scalar node, weights u); the loss is
+    sum_m u_m * mean JS(s || p_m).
     """
     if not experts:
         raise ValueError("mai_loss needs a non-empty expert set")
-    y = np.asarray(y, dtype=np.float64)
     detach = cfg.mai_expert_grad == "detached"
-    d = {m: float(distlib.js_divergence_rows(p.data, y).mean()) for m, p in experts.items()}
     u = expert_weights(d, cfg.kappa)
     node = None
     for m, p in experts.items():
         term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.stop_grad(p) if detach else p))
         node = term if node is None else ad.add(node, term)
-    return node, u, d
+    return node, u
 
 
 def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
@@ -124,25 +121,24 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
         raise ValueError(f"unknown student {student!r}")
     if set(outputs) != set(MODALITIES):
         raise ValueError(f"outputs must cover {MODALITIES}, got {sorted(outputs)}")
-    y = np.asarray(y, dtype=np.float64)
     s = outputs[student]
     experts = {m: outputs[m] for m in MODALITIES if m != student}
+    rai = {m: rai_loss(y, outputs[m]) for m in (student, *experts)}
 
     breakdown = LossBreakdown()
-    rai_node = rai_loss(y, s)
-    breakdown.rai = float(rai_node.data)
-    total = ad.scalar_mul(cfg.lambda_rai, rai_node)
+    breakdown.rai = float(rai[student].data)
+    total = ad.scalar_mul(cfg.lambda_rai, rai[student])
 
-    mai_node, breakdown.u, breakdown.d = mai_loss(s, experts, y, cfg)
+    breakdown.d = {m: float(rai[m].data) for m in experts}
+    mai_node, breakdown.u = mai_loss(s, experts, breakdown.d, cfg)
     breakdown.mai = float(mai_node.data)
     if cfg.lambda_mai > 0:
         total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai_node))
 
     if cfg.expert_supervision == "rai":
-        for m, p in experts.items():
-            node = rai_loss(y, p)
-            breakdown.expert_rai[m] = float(node.data)
-            total = ad.add(total, node)
+        for m in experts:
+            breakdown.expert_rai[m] = breakdown.d[m]
+            total = ad.add(total, rai[m])
 
     breakdown.total = float(total.data)
     return total, breakdown

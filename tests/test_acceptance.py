@@ -7,7 +7,9 @@ pinned synthetic configuration; expect a few minutes of wall time.
 
 import json
 import math
+import os
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ RUN_BUDGET_SECONDS = 300.0
 
 @pytest.fixture(scope="module")
 def effect_runs():
+    # Runs are bit-identical at any worker count (criterion 7), so the fixture
+    # uses two workers where it has two cores. Busy workers take no less time
+    # per run than one alone, so elapsed * jobs / runs never understates it.
+    jobs = min(2, len(os.sched_getaffinity(0)))
     ds = generate_synthetic(SYNTH)
     model_cfg = ModelConfig(dim_a=SYNTH.dim_a, dim_t=SYNTH.dim_t, n_classes=SYNTH.n_classes)
     results = {}
@@ -48,12 +54,12 @@ def effect_runs():
             objective=objective,
         )
         start = time.monotonic()
-        records, aggregate = cross_validate(ds, cfg)
+        records, aggregate = cross_validate(ds, cfg, jobs=jobs)
         elapsed = time.monotonic() - start
         results[objective] = {
             "records": records,
             "aggregate": aggregate,
-            "seconds_per_run": elapsed / len(records),
+            "seconds_per_run": elapsed * jobs / len(records),
         }
     return results
 
@@ -93,7 +99,7 @@ def test_criterion_2_gradient_fidelity():
     start = time.monotonic()
     for name in OP_NAMES:
         for seed in range(100):
-            rng = np.random.default_rng(1000 * hash(name) % (2**32) + seed)
+            rng = np.random.default_rng(1000 * zlib.crc32(name.encode()) % (2**32) + seed)
             f, inputs = _op_case(name, rng)
             result = ad.grad_check(f, inputs, h=1e-4, tol=1e-4)
             assert result.passed, f"{name} seed {seed}: {result.max_rel_err}"

@@ -14,6 +14,7 @@ from amber import trainer
 from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
 from amber.errors import DataValidationError
 from amber.evalreport import EvalReport, emit_report
+from amber.model import ModelConfig, init_params, save_checkpoint
 from amber.trainer import TrainConfig
 
 
@@ -335,6 +336,33 @@ def test_invalid_utf8_in_a_dataset_exits_2_naming_its_line(dataset, tmp_path, ca
                 "--out-dir", str(tmp_path / "bad-eval")]
     assert main(args) == 2
     assert f"amber: data validation error: {bad}: line 4: invalid UTF-8" in capsys.readouterr().err
+
+
+_HEADER = '{"schema": "amber-ds-v1", "C": 3, "dim_a": 2, "dim_t": 2, "folds": 3}'
+_RECORDS = [f'{{"id": "s{i}", "h_a": [0.0, 1.0], "h_t": [1.0, 0.0], "votes": [2, 1, 1]}}' for i in range(3)]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("lines, message", [
+    ([_HEADER.replace('"dim_a": 2', '"dim_a": 1' + "0" * 400), *_RECORDS],
+     "line 1: header dimensions too large to allocate"),
+    ([_HEADER, _RECORDS[0], _RECORDS[1].replace("0.0", "1" * 5000, 1), _RECORDS[2]],
+     "line 3: malformed JSON (integer literal too long)"),
+    ([_HEADER, *_RECORDS[:2], _RECORDS[2].replace("[0.0, 1.0]", "[" * 100_000 + "]" * 100_000)],
+     "line 4: malformed JSON (nested too deeply)"),
+], ids=["dim-10**400", "5000-digit-literal", "nested-100000-deep"])
+def test_a_dataset_beyond_the_parser_limits_exits_2_naming_its_line(tmp_path, capsys, command, lines, message):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    if command == "train":
+        args = _train_args(bad, tmp_path / "run")
+    else:
+        cfg = ModelConfig(dim_a=2, dim_t=2, n_classes=3, hidden=4, fusion_dim=4)
+        ckpt = tmp_path / "ckpt.json"
+        save_checkpoint(ckpt, cfg, init_params(cfg, 0), {"system": "amber", "fold": 0, "seed": 0})
+        args = ["eval", "--checkpoint", str(ckpt), "--data", str(bad), "--out-dir", str(tmp_path / "ev")]
+    assert main(args) == 2
+    assert f"amber: data validation error: {bad}: {message}\n" == capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -2,7 +2,10 @@
 
 `helpers.oracle_load_jsonl` is the loader as it was before the cache. Every
 file, valid or not, must load to bit-equal columns or fail with the oracle's
-message and line, with or without a sidecar next to it.
+message and line, with or without a sidecar next to it. Where the oracle
+fails without a name (invalid UTF-8, header dims too large to allocate, an
+integer literal too long or nesting too deep to parse), `load_jsonl` must
+raise the `DataValidationError` that names it, on the line it belongs to.
 """
 
 import json
@@ -60,8 +63,33 @@ def _outcome(load, path):
         lines = Path(path).read_bytes().decode("utf-8", errors="surrogateescape").splitlines()
         line = next(i for i, text in enumerate(lines, start=1) if re.search("[\udc80-\udcff]", text))
         return DataValidationError, "invalid UTF-8", line
-    except (DataValidationError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
+        if load is oracle_load_jsonl and not isinstance(exc, DataValidationError):
+            exc = _named_error(path, exc)
         return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _json_error_type(text):
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return type(exc)
+    return None
+
+
+def _named_error(path, exc):
+    """What `load_jsonl` raises where the oracle fails with the unnamed `exc`.
+
+    Either header dims too large to allocate (a `ValueError` from `np.empty`,
+    line 1), or the first line whose integer literal is too long for `int()`
+    or whose nesting is too deep for `json.loads`.
+    """
+    if type(exc) is ValueError and "integer string conversion" not in str(exc):
+        return DataValidationError("header dimensions too large to allocate", line=1, path=path)
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if _json_error_type(text) is type(exc))
+    reason = "nested too deeply" if type(exc) is RecursionError else "integer literal too long"
+    return DataValidationError(f"malformed JSON ({reason})", line=line, path=path)
 
 
 def assert_loads_like_the_oracle(path):
@@ -165,9 +193,14 @@ def _replace_line(number, text):
     BASE[: len(BASE) // 2],
     b"",
     b"\n\n",
+    BASE.replace(b'"dim_a": 2', b'"dim_a": 1' + b"0" * 400, 1),
+    BASE.replace(b'"dim_t": 2', b'"dim_t": 4611686018427387904', 1),
+    BASE.replace(b"12345678901234567890", b"1" * 5000, 1),
+    BASE.replace(b"[0.1, 0.2]", b"[" * 100_000 + b"]" * 100_000, 1),
 ], ids=["valid", "nan", "inf", "huge-int-feature", "huge-vote", "vote-total-2**63",
         "duplicate-id", "empty-id", "wrong-y", "bad-utf-8", "blank-line", "crlf", "cr",
-        "truncated", "empty", "blank-only"])
+        "truncated", "empty", "blank-only", "dim-10**400", "dim-2**62", "5000-digit-literal",
+        "nested-100000-deep"])
 def test_named_mutants_load_like_the_oracle_cold_and_warm(mutant):
     check_equivalence(mutant)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from amber import autodiff as ad
+from amber import distlib
 from amber.dataio import SynthConfig, generate_synthetic
 from amber.losses import (
     LossConfig,
@@ -34,6 +35,11 @@ def _micro_outputs(seed=0, batch=4, n_classes=3):
     outputs = forward_all(tensors, h_a, h_t, cfg)
     y = rng.dirichlet(np.ones(n_classes), size=batch)
     return cfg, tensors, outputs, y
+
+
+def _divergences(y, experts):
+    """Each expert's batch-mean JS from the labels, as `amber_loss` hands it to `mai_loss`."""
+    return {m: float(rai_loss(y, p).data) for m, p in experts.items()}
 
 
 def test_rai_zero_when_student_matches_labels():
@@ -100,7 +106,7 @@ def test_mai_zero_when_all_heads_agree():
     s = ad.Tensor(rows.copy(), requires_grad=True)
     experts = {"a": ad.constant(rows.copy()), "t": ad.constant(rows.copy())}
     y = np.asarray([[0.4, 0.3, 0.3], [0.1, 0.8, 0.1]])
-    node, u, d = mai_loss(s, experts, y, LossConfig())
+    node, u = mai_loss(s, experts, _divergences(y, experts), LossConfig())
     assert float(node.data) == 0.0
     assert abs(sum(u.values()) - 1.0) <= 1e-12
 
@@ -111,7 +117,8 @@ def test_mai_saturates_to_best_expert_at_large_kappa():
     s = ad.Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
     perfect = ad.constant(y.copy())
     other = ad.constant(rng.dirichlet(np.ones(3), size=4))
-    node, u, _ = mai_loss(s, {"a": perfect, "t": other}, y, LossConfig(kappa=50.0))
+    experts = {"a": perfect, "t": other}
+    node, u = mai_loss(s, experts, _divergences(y, experts), LossConfig(kappa=50.0))
     assert u["a"] > 0.999
     direct = ad.js_loss_node(s, ad.constant(y.copy()))
     assert abs(float(node.data) - float(direct.data)) < 1e-3
@@ -119,7 +126,8 @@ def test_mai_saturates_to_best_expert_at_large_kappa():
 
 def test_mai_detached_blocks_expert_gradient():
     cfg, tensors, outputs, y = _micro_outputs(seed=5)
-    node, _, _ = mai_loss(outputs["at"], {"a": outputs["a"], "t": outputs["t"]}, y, LossConfig())
+    experts = {"a": outputs["a"], "t": outputs["t"]}
+    node, _ = mai_loss(outputs["at"], experts, _divergences(y, experts), LossConfig())
     ad.backward(node)
     for name in ("a.w1", "a.b1", "a.w2", "a.b2", "t.w1", "t.w2"):
         assert np.array_equal(tensors[name].grad, np.zeros_like(tensors[name].grad))
@@ -128,12 +136,29 @@ def test_mai_detached_blocks_expert_gradient():
 
 def test_mai_coupled_lets_gradient_reach_experts():
     cfg, tensors, outputs, y = _micro_outputs(seed=6)
-    node, _, _ = mai_loss(
-        outputs["at"], {"a": outputs["a"], "t": outputs["t"]}, y,
-        LossConfig(mai_expert_grad="coupled"),
-    )
+    experts = {"a": outputs["a"], "t": outputs["t"]}
+    node, _ = mai_loss(outputs["at"], experts, _divergences(y, experts), LossConfig(mai_expert_grad="coupled"))
     ad.backward(node)
     assert np.any(tensors["a.w2"].grad != 0)
+
+
+@pytest.mark.parametrize("supervision", ["rai", "none"])
+def test_amber_loss_makes_one_js_pass_per_head_pair(monkeypatch, supervision):
+    # five pairs: each head against the labels, the student against each expert
+    real = distlib.js_divergence_rows
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(distlib, "js_divergence_rows", counted)
+    cfg, tensors, outputs, y = _micro_outputs(seed=11)
+    _, breakdown = amber_loss(y, outputs, LossConfig(expert_supervision=supervision), "at")
+    assert len(calls) == 5
+    # the same bits as JS taken with the expert first, so train logs keep their bytes
+    assert breakdown.d == {m: float(real(outputs[m].data, y).mean()) for m in ("a", "t")}
+    assert breakdown.expert_rai == (breakdown.d if supervision == "rai" else {})
 
 
 def test_amber_reduces_to_rai_when_mai_and_supervision_off():
