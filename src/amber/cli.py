@@ -17,13 +17,12 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import BrokenExecutor
 from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
 from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl, write_text_atomic
-from .errors import DataValidationError, NumericalAbortError
+from .errors import DataValidationError, NumericalAbortError, WorkerDiedError
 from .losses import LossConfig
 from .model import ModelConfig
 
@@ -148,6 +147,8 @@ def _load_config_file(path):
             blob = json.load(fh)
         except ValueError as exc:
             raise DataValidationError(f"malformed JSON config ({exc})", path=path) from None
+        except RecursionError:
+            raise DataValidationError("malformed JSON config (nested too deeply)", path=path) from None
     if isinstance(blob, dict) and "config" in blob and "command" in blob:
         blob = blob["config"]  # accept a prior manifest
     if not isinstance(blob, dict):
@@ -469,9 +470,7 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         sys.stderr.write(f"amber: numerical abort: {exc}\n")
         return EXIT_NUMERIC
-    # a pool worker was killed or exited mid-run; BrokenExecutor is the base of
-    # BrokenProcessPool, whose module would import multiprocessing on every command
-    except BrokenExecutor as exc:
+    except WorkerDiedError as exc:
         sys.stderr.write(f"amber: worker process died: {exc}\n")
         return EXIT_WORKER
     except OSError as exc:  # a missing input, or a directory given as a file

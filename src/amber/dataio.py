@@ -13,7 +13,6 @@ bookkeeping fields.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -28,9 +27,9 @@ from .errors import DataValidationError
 SCHEMA = "amber-ds-v1"
 
 # Format tag of the column cache beside a dataset file (see `load_jsonl`).
-# Bump it whenever the checks a parse makes change, so that no sidecar
-# written under the old checks is read.
-CACHE_FORMAT = "amber-ds-cache-v1"
+# Bump it whenever its layout or the checks a parse makes change, so that no
+# sidecar written under the old ones is read.
+CACHE_FORMAT = "amber-ds-cache-v2"
 
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
@@ -202,49 +201,28 @@ def fold_split(ds: Dataset, fold: int):
 
 
 def write_text_atomic(path, text):
-    """Write `text` to `path` as UTF-8, whole or not at all.
+    """Write `text` to `path`, whole or not at all.
 
-    `text` is a string or an iterable of strings, written in turn. It goes
-    to a temporary file in the same directory, which then replaces `path`
-    (`os.replace`). A write that fails part-way, an iterable that raises
-    included, leaves `path` as it was and removes the temporary file. This
-    guards against a process that stops or fails mid-write, not against
-    power loss (no fsync).
+    `text` is bytes, written as they are, or a string or an iterable of
+    strings, written in turn as UTF-8. It goes to a temporary file in the
+    same directory, which then replaces `path` (`os.replace`). A write that
+    fails part-way, an iterable that raises included, leaves `path` as it
+    was and removes the temporary file. This guards against a process that
+    stops or fails mid-write, not against power loss (no fsync).
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+        if isinstance(text, bytes):
+            with open(tmp, "wb") as fh:
+                fh.write(text)
+        else:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def encode_array(arr, dtype) -> str:
-    """Standard base64 of `arr`'s values as `dtype` (little-endian, "<f8" or "<i8"), in C order."""
-    return base64.b64encode(np.ascontiguousarray(arr, dtype=dtype)).decode("ascii")
-
-
-def decode_array(text, dtype, shape) -> np.ndarray:
-    """The writable native-order array of `shape` that `encode_array` wrote as `text`.
-
-    Raises `ValueError` if `text` is not a base64 string of exactly the bytes
-    `shape` needs; its message reads on from "data", as in "data is not
-    valid base64".
-    """
-    if not isinstance(text, str):
-        raise ValueError("must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:
-        raise ValueError("is not valid base64") from None
-    dtype = np.dtype(dtype)
-    need = dtype.itemsize * math.prod(shape)
-    if len(raw) != need:
-        raise ValueError(f"holds {len(raw)} bytes, its shape needs {need}")
-    return np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(shape)
 
 
 def save_jsonl(ds: Dataset, path):
@@ -284,7 +262,7 @@ def load_jsonl(path) -> Dataset:
     if ds is None:
         ds = _parse(data, path, digest)
         try:
-            write_text_atomic(cache, _cache_text(ds))
+            write_text_atomic(cache, _cache_bytes(ds))
         except OSError:
             pass
     return ds
@@ -406,9 +384,13 @@ def _fill_numbers(values, key, out, i, line_no, path):
 # column cache
 
 
-def _cache_text(ds):
-    """The sidecar of a dataset parsed from the bytes whose sha256 is `ds.sha256`."""
-    return json.dumps({
+def _cache_bytes(ds):
+    """The sidecar of a dataset parsed from the bytes whose sha256 is `ds.sha256`.
+
+    One JSON header line (no raw newline: `json.dumps` escapes those inside
+    ids), then each column's little-endian bytes in C order.
+    """
+    header = json.dumps({
         "format": CACHE_FORMAT,
         "sha256": ds.sha256,
         "C": ds.n_classes,
@@ -416,23 +398,25 @@ def _cache_text(ds):
         "dim_t": ds.dim_t,
         "folds": ds.fold_count,
         "ids": ds.ids.tolist(),
-        "h_a": encode_array(ds.h_a, "<f8"),
-        "h_t": encode_array(ds.h_t, "<f8"),
-        "votes": encode_array(ds.votes, "<i8"),
     }) + "\n"
+    return b"".join([header.encode("ascii"), np.ascontiguousarray(ds.h_a, dtype="<f8"),
+                     np.ascontiguousarray(ds.h_t, dtype="<f8"), np.ascontiguousarray(ds.votes, dtype="<i8")])
 
 
 def _read_cache(cache, digest):
     """The dataset a sidecar holds for the bytes of `digest`, or None.
 
-    The columns pass the checks a parse makes of them again: shapes,
-    finite features, non-negative votes whose row totals lie in [1, 2**63),
-    unique non-empty ids and at least `folds` rows.
+    The file is read with one `read`. The columns pass the checks a parse
+    makes of them again: shapes (the body holds exactly the bytes they
+    need), finite features, non-negative votes whose row totals lie in
+    [1, 2**63), unique non-empty ids and at least `folds` rows.
     """
     try:
-        with open(cache, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except (OSError, ValueError, RecursionError):
+        with open(cache, "rb") as fh:
+            data = fh.read()
+        end = data.index(b"\n")
+        blob = json.loads(data[:end])
+    except (OSError, ValueError, RecursionError):  # ValueError: no newline, or a header that is not JSON
         return None
     if not isinstance(blob, dict) or blob.get("format") != CACHE_FORMAT or blob.get("sha256") != digest:
         return None
@@ -446,12 +430,14 @@ def _read_cache(cache, digest):
         return None
     if not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows:
         return None
-    try:  # popped, so that each base64 text is freed once it is decoded
-        h_a = decode_array(blob.pop("h_a", None), "<f8", (rows, dim_a))
-        h_t = decode_array(blob.pop("h_t", None), "<f8", (rows, dim_t))
-        votes = decode_array(blob.pop("votes", None), "<i8", (rows, n_classes))
-    except ValueError:
+    if len(data) - end - 1 != 8 * rows * (dim_a + dim_t + n_classes):
         return None
+    columns, offset = [], end + 1
+    for dtype, width in (("<f8", dim_a), ("<f8", dim_t), ("<i8", n_classes)):
+        raw = np.frombuffer(data, dtype=dtype, count=rows * width, offset=offset)
+        columns.append(raw.astype(raw.dtype.newbyteorder("=")).reshape(rows, width))  # a writable copy
+        offset += raw.nbytes
+    h_a, h_t, votes = columns
     if not (np.isfinite(h_a).all() and np.isfinite(h_t).all() and (votes >= 0).all()):
         return None
     # each vote is below 2**63, so a running total below 2**63 never wraps in uint64

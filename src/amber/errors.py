@@ -29,3 +29,7 @@ class NumericalAbortError(RuntimeError):
         if epoch is not None:
             where = f" (epoch {epoch}" + (f", batch {batch}" if batch is not None else "") + ")"
         super().__init__(message + where)
+
+
+class WorkerDiedError(RuntimeError):
+    """Raised when a `cross_validate` worker process dies mid-run."""

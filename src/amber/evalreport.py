@@ -320,4 +320,6 @@ def load_report(path):
                 _check_metric_cells(row["metrics"])
         except (ValueError, KeyError, TypeError) as exc:
             raise DataValidationError(f"not a report file ({type(exc).__name__}: {exc})", path=path) from None
+        except RecursionError:
+            raise DataValidationError("not a report file (malformed JSON: nested too deeply)", path=path) from None
     return reports, summary

@@ -8,13 +8,15 @@ other two act as experts.
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import decode_array, encode_array, write_text_atomic
+from .dataio import write_text_atomic
 from .errors import DataValidationError
 
 MODALITIES = ("a", "t", "at")
@@ -176,8 +178,32 @@ def _checkpoint_text(cfg, params, provenance):
             raise TypeError(f"parameter {name!r} must be float64, got {arr.dtype}")
         # no local keeps the encoding, so the previous one is gone before the next is made
         yield (f'{", " if i else ""}{json.dumps(name)}: {{"shape": {json.dumps(list(arr.shape))}, "data": "'
-               f'{encode_array(arr, "<f8")}"}}')
+               f'{_encode_array(arr)}"}}')
     yield "}}\n"
+
+
+def _encode_array(arr) -> str:
+    """Standard base64 of `arr`'s values as little-endian float64, in C order."""
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")
+
+
+def _decode_array(text, shape) -> np.ndarray:
+    """The writable native-order float64 array of `shape` that `_encode_array` wrote as `text`.
+
+    Raises `ValueError` if `text` is not a base64 string of exactly the bytes
+    `shape` needs; its message reads on from "data", as in "data is not
+    valid base64".
+    """
+    if not isinstance(text, str):
+        raise ValueError("must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:
+        raise ValueError("is not valid base64") from None
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise ValueError(f"holds {len(raw)} bytes, its shape needs {need}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_checkpoint(path):
@@ -205,6 +231,8 @@ def load_checkpoint(path):
             blob = json.load(fh)
     except ValueError as exc:
         raise invalid(f"malformed JSON ({exc})") from None
+    except RecursionError:
+        raise invalid("malformed JSON (nested too deeply)") from None
     check_keys(blob, ("format", "config", "params"), ("provenance",), "checkpoint")
     if blob["format"] != CHECKPOINT_FORMAT:
         raise invalid(f"unsupported format {blob['format']!r}")
@@ -230,7 +258,7 @@ def load_checkpoint(path):
         if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
             raise invalid(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
         try:
-            arr = decode_array(entry["data"], "<f8", shape)
+            arr = _decode_array(entry["data"], shape)
         except ValueError as exc:
             raise invalid(f"parameter {name!r} data {exc}") from None
         if not np.all(np.isfinite(arr)):

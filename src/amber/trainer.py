@@ -13,7 +13,6 @@ keeps parallel and serial output identical.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evalreport
 from .dataio import Dataset, fold_split
-from .errors import NumericalAbortError
+from .errors import NumericalAbortError, WorkerDiedError
 from .losses import LossConfig, amber_loss, cbce_loss, class_weights_from
 from .model import ModelConfig, forward_all, init_params, predict, wrap_params
 
@@ -238,12 +237,19 @@ def cross_validate(ds: Dataset, cfg: TrainConfig, jobs: int = 1):
     """All (fold, seed) runs plus the aggregate mean/std per metric.
 
     Returns (records, aggregate); records are ordered by (fold, seed)
-    regardless of how many workers executed them.
+    regardless of how many workers executed them. A worker process that dies
+    mid-run raises `WorkerDiedError`.
     """
     cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in cfg.seeds]
-    if jobs > 1:  # a pool may start all its workers at once, so never more than there are runs
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            records = list(pool.map(_run_cell, cells))
+    if jobs > 1:
+        import concurrent.futures  # with its logging import, about 7 ms that --jobs 1 never needs
+
+        # a pool may start all its workers at once, so never more than there are runs
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+                records = list(pool.map(_run_cell, cells))
+        except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
+            raise WorkerDiedError(str(exc)) from None
     else:
         records = [_run_cell(cell) for cell in cells]
     aggregate = evalreport.aggregate([r.report for r in records])

@@ -416,6 +416,23 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         assert "data validation error" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["eval", "compare", "bins", "train"])
+def test_json_nested_too_deeply_exits_2_naming_the_file(dataset, tmp_path, capsys, command):
+    deep, good, out = tmp_path / "deep.json", tmp_path / "good.json", tmp_path / "out"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    _write_report(good, {"JS": 0.2})
+    args = {
+        "eval": ["eval", "--checkpoint", str(deep), "--data", str(dataset), "--out-dir", str(out)],
+        "compare": ["compare", "--baseline", str(good), "--candidate", str(deep)],
+        "bins": ["bins", "--report", str(good), "--report", str(deep)],
+        "train": _train_args(dataset, out, **{"--config": deep}),
+    }[command]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"amber: data validation error: {deep}: ") and "nested too deeply" in err
+    assert not out.exists()
+
 def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
     missing, folder, out = str(tmp_path / "missing.jsonl"), str(tmp_path), str(tmp_path / "out")
     cases = [

@@ -8,6 +8,7 @@ integer literal too long or nesting too deep to parse), `load_jsonl` must
 raise the `DataValidationError` that names it, on the line it belongs to.
 """
 
+import base64
 import json
 import os
 import re
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amber import dataio
-from amber.dataio import SCHEMA, decode_array, encode_array, load_jsonl
+from amber.dataio import SCHEMA, load_jsonl
 from amber.errors import DataValidationError
 
 from helpers import oracle_load_jsonl
@@ -233,31 +234,89 @@ def test_an_edit_after_caching_is_parsed_again(dataset):
     assert exc.value.line == 7
 
 
+# (column, dtype, header key of its width) in the order of the sidecar's body
+_COLUMNS = (("h_a", "<f8", "dim_a"), ("h_t", "<f8", "dim_t"), ("votes", "<i8", "C"))
+
+
+def _read_sidecar(path):
+    """(header, body) of a v2 sidecar: its first line as JSON, then the bytes after it."""
+    header, body = _sidecar(path).read_bytes().split(b"\n", 1)
+    return json.loads(header), body
+
+
+def _write_sidecar(path, header, body):
+    _sidecar(path).write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
 def _edit_sidecar(path, **changes):
-    blob = json.loads(_sidecar(path).read_text())
-    blob.update(changes)
-    _sidecar(path).write_text(json.dumps(blob))
+    header, body = _read_sidecar(path)
+    header.update(changes)
+    _write_sidecar(path, header, body)
+
+
+def _columns(path):
+    """The sidecar's header and its body split into writable (rows, width) columns."""
+    header, body = _read_sidecar(path)
+    rows, offset, columns = len(header["ids"]), 0, {}
+    for key, dtype, width in _COLUMNS:
+        count = rows * header[width]
+        columns[key] = np.frombuffer(body, dtype, count, offset).reshape(rows, header[width]).copy()
+        offset += 8 * count
+    return header, columns
+
+
+def _write_columns(path, header, columns):
+    _write_sidecar(path, header, b"".join(columns[k].tobytes() for k, _, _ in _COLUMNS))
 
 
 def _edit_column(path, key, dtype, index, value):
-    blob = json.loads(_sidecar(path).read_text())
-    width = blob[{"h_a": "dim_a", "h_t": "dim_t", "votes": "C"}[key]]
-    column = decode_array(blob[key], dtype, (len(blob["ids"]), width))
-    column[index] = value
-    _edit_sidecar(path, **{key: encode_array(column, dtype)})
+    header, columns = _columns(path)
+    assert columns[key].dtype == np.dtype(dtype)
+    columns[key][index] = value
+    _write_columns(path, header, columns)
+
+
+def _short_column(path):
+    header, columns = _columns(path)
+    columns["h_t"] = np.zeros((6, 1))
+    _write_columns(path, header, columns)
+
+
+def _base64(column, dtype):
+    return base64.b64encode(np.ascontiguousarray(column, dtype=dtype)).decode("ascii")
+
+
+def _base64_body(path):
+    """The columns as the base64 text the v1 sidecar held, not as raw bytes."""
+    header, columns = _columns(path)
+    text = "".join(_base64(columns[k], dtype) for k, dtype, _ in _COLUMNS)
+    _write_sidecar(path, header, text.encode())
+
+
+def _v1_sidecar(path):
+    """The sidecar the v1 format wrote: one JSON object with base64 columns."""
+    header, columns = _columns(path)
+    header["format"] = "amber-ds-cache-v1"
+    header.update({k: _base64(columns[k], dtype) for k, dtype, _ in _COLUMNS})
+    _sidecar(path).write_text(json.dumps(header) + "\n")
+
+
+def _resize_body(path, change):
+    data = _sidecar(path).read_bytes()
+    _sidecar(path).write_bytes(data[:change] if change < 0 else data + b"\0" * change)
 
 
 _DAMAGE = {
     "truncated": lambda p: _sidecar(p).write_bytes(_sidecar(p).read_bytes()[:100]),
     "garbled": lambda p: _sidecar(p).write_bytes(b"\xff\x00" + _sidecar(p).read_bytes()[2:]),
     "empty": lambda p: _sidecar(p).write_bytes(b""),
-    "not-an-object": lambda p: _sidecar(p).write_text("[1, 2]"),
+    "not-an-object": lambda p: _sidecar(p).write_bytes(b"[1, 2]\n" + _read_sidecar(p)[1]),
     "wrong-tag": lambda p: _edit_sidecar(p, format="amber-ds-cache-v0"),
     "wrong-digest": lambda p: _edit_sidecar(p, sha256="0" * 64),
     "bool-dim": lambda p: _edit_sidecar(p, dim_a=True),
     "more-folds-than-rows": lambda p: _edit_sidecar(p, folds=7),
-    "short-column": lambda p: _edit_sidecar(p, h_t=encode_array(np.zeros((6, 1)), "<f8")),
-    "not-base64": lambda p: _edit_sidecar(p, votes="*"),
+    "short-column": _short_column,
+    "not-base64": _base64_body,
     "nan": lambda p: _edit_column(p, "h_a", "<f8", (2, 1), np.nan),
     "inf": lambda p: _edit_column(p, "h_t", "<f8", (0, 0), -np.inf),
     "negative-vote": lambda p: _edit_column(p, "votes", "<i8", (3, 1), -1),
@@ -268,6 +327,10 @@ _DAMAGE = {
     "empty-id": lambda p: _edit_sidecar(p, ids=["s0", "s1", "s2", "", "s4", "s5"]),
     "int-id": lambda p: _edit_sidecar(p, ids=["s0", "s1", "s2", 3, "s4", "s5"]),
     "directory": lambda p: (_sidecar(p).unlink(), _sidecar(p).mkdir()),
+    "body-one-byte-short": lambda p: _resize_body(p, -1),
+    "body-one-byte-long": lambda p: _resize_body(p, 1),
+    "header-without-newline": lambda p: _sidecar(p).write_bytes(_sidecar(p).read_bytes().replace(b"\n", b"", 1)),
+    "v1-sidecar": _v1_sidecar,
 }
 
 
@@ -309,9 +372,12 @@ def test_cold_loads_write_identical_sidecar_bytes(dataset):
     _sidecar(dataset).unlink()
     load_jsonl(dataset)
     assert _sidecar(dataset).read_bytes() == first == _sidecar(other).read_bytes()
-    blob = json.loads(first)
-    assert list(blob) == ["format", "sha256", "C", "dim_a", "dim_t", "folds", "ids", "h_a", "h_t", "votes"]
-    assert blob["format"] == dataio.CACHE_FORMAT and blob["ids"] == [r["id"] for r in RECORDS]
+    header, body = _read_sidecar(dataset)
+    assert list(header) == ["format", "sha256", "C", "dim_a", "dim_t", "folds", "ids"]
+    assert header["format"] == dataio.CACHE_FORMAT == "amber-ds-cache-v2"
+    assert header["ids"] == [r["id"] for r in RECORDS]
+    want = oracle_load_jsonl(dataset)
+    assert body == b"".join(np.asarray(getattr(want, k), dtype).tobytes() for k, dtype, _ in _COLUMNS)
 
 
 def test_invalid_utf8_names_the_line_of_the_first_bad_byte_and_writes_no_sidecar(dataset):

@@ -1,12 +1,16 @@
 import base64
 import json
+import math
 import os
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amber import autodiff as ad
+from amber import model
 from amber.errors import DataValidationError
 from amber.model import (
     MODALITIES,
@@ -298,6 +302,89 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         path.write_text(text)
         with pytest.raises(DataValidationError, match="invalid checkpoint"):
             load_checkpoint(path)
+
+
+_FUZZ_CFG = ModelConfig(dim_a=2, dim_t=3, n_classes=2, hidden=3, fusion_dim=2)
+_FUZZ_BLOB = json.loads("".join(model._checkpoint_text(
+    _FUZZ_CFG, init_params(_FUZZ_CFG, 5), {"system": "amber", "fold": 1, "seed": 0})))
+_B64_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+
+
+def _mutant(draw):
+    """(text, must_fail) of one edit of `_FUZZ_BLOB`; `must_fail` if no valid checkpoint can result."""
+    blob = json.loads(json.dumps(_FUZZ_BLOB))
+    name = draw(st.sampled_from(sorted(blob["params"])))
+    entry = blob["params"][name]
+    kind = draw(st.sampled_from(["flip", "truncate", "pad", "shape", "config", "deep", "cut-file"]))
+    must_fail = kind in ("truncate", "shape")
+    if kind == "flip":
+        at = draw(st.integers(0, len(entry["data"]) - 1))
+        char = draw(st.sampled_from(_B64_CHARS + "*-_ \n\x00é"))
+        entry["data"] = entry["data"][:at] + char + entry["data"][at + 1:]
+    elif kind == "truncate":
+        cut = draw(st.integers(1, len(entry["data"])))
+        entry["data"] = entry["data"][cut:] if draw(st.booleans()) else entry["data"][:-cut]
+    elif kind == "pad":
+        entry["data"] += draw(st.sampled_from(["=", "==", "====", "A", "AA", "AAAA", "AAAAAAAAAAA=", " ", "\n"]))
+    elif kind == "shape":
+        shape = list(entry["shape"])
+        entry["shape"] = draw(st.sampled_from([
+            shape + [1], shape[:-1], [v + 1 for v in shape], [float(v) for v in shape], [True] * len(shape),
+            [-v for v in shape], [str(v) for v in shape], {"0": shape[0]}, None, math.prod(shape)]))
+    elif kind == "config":
+        key = draw(st.sampled_from(sorted(blob["config"])))
+        blob["config"][key] = draw(st.sampled_from(
+            [0, -1, 1, 2, 3, 4, 2**63, 10**30, 2.0, 3.0, True, False, None, "2", [2], 1.5, "a", "t", "at", "x"]))
+    elif kind == "deep":
+        where = draw(st.sampled_from(["provenance", "config", "shape", "data", "top"]))
+        depth = draw(st.sampled_from([2, 50, 100_000]))
+        nested = "[" * depth + "]" * depth
+        marker = '"__deep__"'
+        if where == "provenance":
+            blob["provenance"]["note"] = "__deep__"
+        elif where == "config":
+            blob["config"]["hidden"] = "__deep__"
+        elif where == "shape":
+            entry["shape"] = "__deep__"
+        elif where == "data":
+            entry["data"] = "__deep__"
+        else:
+            blob = "__deep__"
+        must_fail = where != "provenance" or depth == 100_000
+        return json.dumps(blob).replace(marker, nested), must_fail
+    text = json.dumps(blob) + "\n"
+    if kind == "cut-file":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text, must_fail
+
+
+def _assert_loads_what_the_file_holds(text, loaded):
+    cfg, params, provenance = loaded
+    blob = json.loads(text)
+    assert [(k, type(v), v) for k, v in asdict(cfg).items()] == \
+        [(k, type(v), v) for k, v in blob["config"].items()]
+    assert provenance == blob.get("provenance", {})
+    assert list(params) == list(param_shapes(cfg))
+    for name, arr in params.items():
+        entry = blob["params"][name]
+        assert arr.dtype == np.float64 and list(arr.shape) == entry["shape"], name
+        assert arr.astype("<f8").tobytes() == base64.b64decode(entry["data"], validate=True), name
+        assert np.isfinite(arr).all() and arr.flags.writeable, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_mutant_checkpoint_loads_what_it_holds_or_raises_a_named_error(tmp_path_factory, data):
+    text, must_fail = _mutant(data.draw)
+    path = tmp_path_factory.mktemp("ckpt") / "ckpt.json"
+    path.write_text(text, encoding="utf-8")
+    try:
+        loaded = load_checkpoint(path)
+    except DataValidationError as exc:
+        assert str(exc).startswith(f"{path}: invalid checkpoint: ")
+        return
+    assert not must_fail, f"loaded {text[:200]!r}"
+    _assert_loads_what_the_file_holds(text, loaded)
 
 
 @pytest.mark.parametrize("student", MODALITIES)
