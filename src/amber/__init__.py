@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # submodule -> the names it exports at the package root
 _EXPORTS = {
     "dataio": ("Dataset", "SynthConfig", "fold_split", "generate_synthetic", "load_jsonl", "save_jsonl"),
-    "distlib": ("RaterVotes", "SoftLabel", "aggregate_votes", "bhattacharyya", "entropy_bits", "js_divergence"),
+    "distlib": ("SoftLabel",),
     "errors": ("DataValidationError", "NumericalAbortError"),
     "evalreport": ("EvalReport", "all_metrics", "ambiguity_bins", "cls_metrics", "dist_metrics", "emit_report"),
     "losses": ("LossBreakdown", "LossConfig", "amber_loss", "cbce_loss", "class_weights_from", "expert_weights"),

@@ -30,8 +30,6 @@ values never clamp (the metric path must see exact zeros).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import distlib
@@ -56,10 +54,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
         self.op = op
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -240,26 +234,14 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd, "concat")
 
 
-def elementwise_mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ValueError(f"elementwise_mul shape mismatch: {a.data.shape} vs {b.data.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
-
-    return _node(a.data * b.data, (a, b), bwd, "elementwise_mul")
-
-
 def gated_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """`g * a + (1 - g) * b` in two arrays it owns, `1 - g` recomputed in backward.
 
     Bit-equal, forward and backward, to the composite
-    `add(elementwise_mul(g, a), elementwise_mul(add(ones, scalar_mul(-1, g)), b))`:
-    each array is built by the same float operations on the same operands in
-    the same order, and d/dg = -1 * (up * b) + up * a sums in the order the
+    `add(elementwise_mul(g, a), elementwise_mul(add(ones, scalar_mul(-1, g)), b))`,
+    whose `elementwise_mul` is a test oracle in `tests/helpers.py`: each array
+    is built by the same float operations on the same operands in the same
+    order, and d/dg = -1 * (up * b) + up * a sums in the order the
     composite's backward accumulates.
     """
     if not g.data.shape == a.data.shape == b.data.shape:
@@ -291,15 +273,6 @@ def scalar_mul(c: float, x: Tensor) -> Tensor:
         _accumulate(x, c * g)
 
     return _node(c * x.data, (x,), bwd, "scalar_mul")
-
-
-def mean(x: Tensor) -> Tensor:
-    n = x.data.size
-
-    def bwd(g):
-        _accumulate(x, np.full_like(x.data, float(g) / n))
-
-    return _node(np.asarray(x.data.mean()), (x,), bwd, "mean")
 
 
 def stop_grad(x: Tensor) -> Tensor:
@@ -358,62 +331,3 @@ def soft_ce_node(s: Tensor, targets: np.ndarray, class_weights: np.ndarray) -> T
 
     return _node(np.asarray(value), (s,), bwd, "soft_ce")
 
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-@dataclass
-class GradCheckResult:
-    """Per-input worst relative error between backward and central differences."""
-
-    max_rel_err: float
-    per_input: list = field(default_factory=list)
-    tol: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err <= self.tol
-
-
-def grad_check(f, inputs, h=1e-4, tol=1e-4) -> GradCheckResult:
-    """Compare backward gradients of `f(*inputs)` against central differences.
-
-    `f` must build a fresh graph on each call and return a scalar tensor.
-    The error measure is |analytic - numeric| / max(1, |analytic|, |numeric|),
-    which is relative for large gradients and absolute near zero.
-    """
-
-    def run():
-        out = f(*inputs)
-        if out.data.size != 1:
-            raise ValueError("grad_check requires a scalar-valued function")
-        if not np.isfinite(out.data):
-            raise ValueError("non-finite value in forward pass")
-        return out
-
-    for t in inputs:
-        t.zero_grad()
-    backward(run())
-    analytic = [t.grad.copy() if t.requires_grad else None for t in inputs]
-
-    per_input = []
-    worst = 0.0
-    for t, a in zip(inputs, analytic):
-        if a is None:
-            continue
-        err = 0.0
-        flat = t.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(run().data)
-            flat[i] = orig - h
-            down = float(run().data)
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            ai = a.reshape(-1)[i]
-            err = max(err, abs(ai - numeric) / max(1.0, abs(ai), abs(numeric)))
-        per_input.append(err)
-        worst = max(worst, err)
-    return GradCheckResult(max_rel_err=worst, per_input=per_input, tol=tol)

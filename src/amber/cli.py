@@ -294,7 +294,7 @@ def cmd_train(ns, parser):
     )
     _write_json(out_dir / "manifest.json", manifest)
 
-    records, _ = trainer.cross_validate(ds, cfg, jobs=resolved["jobs"])
+    records = trainer.cross_validate(ds, cfg, jobs=resolved["jobs"])
     for rec in records:
         rec.report.provenance["manifest"] = manifest["manifest_sha256"]
 

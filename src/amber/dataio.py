@@ -39,9 +39,9 @@ Y_CROSSCHECK_TOL = 1e-6
 def _soft_labels(votes: np.ndarray) -> np.ndarray:
     """Rows of vote counts normalized to distributions, y_c = n_c / N.
 
-    The second division repeats the renormalization a `SoftLabel` applies,
-    which can move values by an ulp; keeping it keeps labels bit-equal to
-    `aggregate_votes`.
+    The second division renormalizes as a `SoftLabel` does and can move a
+    value by an ulp; it stays because it keeps `y`, and with it every report
+    and log, byte-identical.
     """
     q = votes / votes.sum(axis=1, keepdims=True)
     return q / q.sum(axis=1, keepdims=True)

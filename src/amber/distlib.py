@@ -1,5 +1,8 @@
 """Probability-distribution primitives shared by the losses and the metric suite.
 
+The metrics are row-wise (`*_rows`): a distribution vector or an (n, C)
+matrix in, one value per row out. `SoftLabel` validates one distribution.
+
 All divergences here use base-2 logarithms, so Jensen-Shannon divergence is
 bounded in [0, 1] and entropy is measured in bits. Zero probabilities follow
 the 0 * log 0 := 0 convention via explicit masking; the metric path never
@@ -16,34 +19,6 @@ import numpy as np
 # Construction renormalizes distributions whose sum drifts by at most this
 # much (file-format rounding); larger deviations are treated as corrupt data.
 SUM_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class RaterVotes:
-    """Per-class annotator vote counts for a single sample."""
-
-    counts: np.ndarray
-    n_raters: int
-
-    def __init__(self, counts, n_raters=None):
-        counts = np.asarray(counts, dtype=np.int64)
-        if counts.ndim != 1 or counts.shape[0] < 2:
-            raise ValueError("vote counts must be a 1-D vector with at least 2 classes")
-        if np.any(counts < 0):
-            raise ValueError("vote counts must be non-negative")
-        total = int(counts.sum())
-        if n_raters is None:
-            n_raters = total
-        elif int(n_raters) != total:
-            raise ValueError(f"vote counts sum to {total}, expected {n_raters} raters")
-        if total < 1:
-            raise ValueError("at least one rater vote is required")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n_raters", int(n_raters))
-
-    @property
-    def n_classes(self):
-        return self.counts.shape[0]
 
 
 @dataclass(frozen=True)
@@ -70,15 +45,6 @@ class SoftLabel:
             raise ValueError(f"soft label sums to {total!r}, outside tolerance {SUM_TOLERANCE}")
         probs = probs / total
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def n_classes(self):
-        return self.probs.shape[0]
-
-
-def aggregate_votes(votes: RaterVotes) -> SoftLabel:
-    """Normalize annotator vote counts into a soft label, y_c = n_c / N."""
-    return SoftLabel(votes.counts / votes.n_raters)
 
 
 def _rows(p) -> np.ndarray:
@@ -126,24 +92,3 @@ def bhattacharyya_rows(p, q) -> np.ndarray:
     p, q = _paired_rows(p, q)
     return np.sqrt(p * q).sum(axis=1)
 
-
-def _vector(p) -> np.ndarray:
-    """Validate a single distribution (SoftLabel or 1-D vector)."""
-    if not isinstance(p, SoftLabel):
-        p = SoftLabel(p)
-    return p.probs
-
-
-def entropy_bits(p) -> float:
-    """Shannon entropy of one distribution, in bits."""
-    return float(entropy_bits_rows(_vector(p))[0])
-
-
-def js_divergence(p, q) -> float:
-    """Base-2 Jensen-Shannon divergence between two distributions."""
-    return float(js_divergence_rows(_vector(p), _vector(q))[0])
-
-
-def bhattacharyya(p, q) -> float:
-    """Bhattacharyya coefficient between two distributions."""
-    return float(bhattacharyya_rows(_vector(p), _vector(q))[0])

@@ -75,8 +75,8 @@ def _as_matrices(preds, targets):
 def dist_metrics(preds, targets) -> dict:
     """JS / BC / R2 over a split; R2 is missing when all targets coincide.
 
-    JS and BC are row means over renormalized rows, equal to the means of
-    `distlib.js_divergence` / `distlib.bhattacharyya` per sample.
+    JS and BC are row means over rows renormalized once more, which keeps
+    every report and log byte-identical.
     """
     return _dist_metrics(*_as_matrices(preds, targets))
 

@@ -7,7 +7,7 @@ the parameters of the epoch with the lowest validation JS (ties go to the
 earliest epoch); those parameters produce the final test evaluation.
 
 Runs are independent, so cross_validate can farm them out to worker
-processes; results are aggregated in (fold, seed) order either way, which
+processes; records come back in (fold, seed) order either way, which
 keeps parallel and serial output identical.
 """
 
@@ -234,23 +234,19 @@ def _run_cell(args):
 
 
 def cross_validate(ds: Dataset, cfg: TrainConfig, jobs: int = 1):
-    """All (fold, seed) runs plus the aggregate mean/std per metric.
+    """The `RunRecord` of every (fold, seed) run, ordered by (fold, seed)
+    regardless of how many workers executed them.
 
-    Returns (records, aggregate); records are ordered by (fold, seed)
-    regardless of how many workers executed them. A worker process that dies
-    mid-run raises `WorkerDiedError`.
+    A worker process that dies mid-run raises `WorkerDiedError`.
     """
     cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in cfg.seeds]
-    if jobs > 1:
-        import concurrent.futures  # with its logging import, about 7 ms that --jobs 1 never needs
+    if jobs <= 1:
+        return [_run_cell(cell) for cell in cells]
+    import concurrent.futures  # with its logging import, about 7 ms that --jobs 1 never needs
 
-        # a pool may start all its workers at once, so never more than there are runs
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-                records = list(pool.map(_run_cell, cells))
-        except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
-            raise WorkerDiedError(str(exc)) from None
-    else:
-        records = [_run_cell(cell) for cell in cells]
-    aggregate = evalreport.aggregate([r.report for r in records])
-    return records, aggregate
+    # a pool may start all its workers at once, so never more than there are runs
+    try:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            return list(pool.map(_run_cell, cells))
+    except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
+        raise WorkerDiedError(str(exc)) from None

@@ -17,15 +17,15 @@ import pytest
 from amber import autodiff as ad
 from amber.cli import main as cli_main
 from amber.dataio import SynthConfig, generate_synthetic
-from amber.distlib import RaterVotes, aggregate_votes, bhattacharyya, entropy_bits, js_divergence
-from amber.evalreport import ambiguity_bins, cls_metrics
+from amber.distlib import bhattacharyya_rows, entropy_bits_rows, js_divergence_rows
+from amber.evalreport import aggregate, ambiguity_bins, cls_metrics
 from amber.losses import LossConfig, cbce_loss, expert_weights
 from amber.model import ModelConfig
 from amber.trainer import TrainConfig, cross_validate
 
-from helpers import full_amber_grad_check
+from helpers import full_amber_grad_check, grad_check
 from test_autodiff import OP_NAMES, _op_case
-from test_distlib import ENTROPY_06_04, JS_HALF_VS_POINT, JS_ONEHOT_VS_UNIFORM4
+from test_distlib import ENTROPY_06_04, JS_HALF_VS_POINT, JS_ONEHOT_VS_UNIFORM4, soft_labels
 from test_evalreport import _brute_force_cls, _one_hot
 
 # Pinned direction-of-effect configuration: 2000 samples, 4 classes, 16/16
@@ -54,11 +54,11 @@ def effect_runs():
             objective=objective,
         )
         start = time.monotonic()
-        records, aggregate = cross_validate(ds, cfg, jobs=jobs)
+        records = cross_validate(ds, cfg, jobs=jobs)
         elapsed = time.monotonic() - start
         results[objective] = {
             "records": records,
-            "aggregate": aggregate,
+            "aggregate": aggregate([r.report for r in records]),
             "seconds_per_run": elapsed * jobs / len(records),
         }
     return results
@@ -66,30 +66,31 @@ def effect_runs():
 
 def test_criterion_1_metric_oracles_and_properties():
     start = time.monotonic()
-    assert abs(entropy_bits([1, 0, 0, 0])) < 1e-6
-    assert abs(entropy_bits([0.25] * 4) - 2.0) < 1e-6
-    assert abs(entropy_bits([0.6, 0.4, 0, 0]) - ENTROPY_06_04) < 1e-6
-    assert abs(js_divergence([1, 0], [0, 1]) - 1.0) < 1e-6
-    assert abs(js_divergence([0.5, 0.5], [1, 0]) - JS_HALF_VS_POINT) < 1e-6
-    assert abs(js_divergence([1, 0, 0, 0], [0.25] * 4) - JS_ONEHOT_VS_UNIFORM4) < 1e-6
-    assert abs(bhattacharyya([0.3, 0.7], [0.3, 0.7]) - 1.0) < 1e-6
-    assert abs(bhattacharyya([1, 0], [0, 1])) < 1e-6
-    assert abs(bhattacharyya([0.5, 0.5], [1, 0]) - math.sqrt(0.5)) < 1e-6
-    assert np.allclose(aggregate_votes(RaterVotes([2, 1, 1, 0])).probs, [0.5, 0.25, 0.25, 0.0])
-    assert np.allclose(aggregate_votes(RaterVotes([5, 0, 0, 0])).probs, [1, 0, 0, 0])
-    assert np.allclose(aggregate_votes(RaterVotes([3, 2, 0, 0])).probs, [0.6, 0.4, 0, 0])
+    assert abs(entropy_bits_rows([1, 0, 0, 0])[0]) < 1e-6
+    assert abs(entropy_bits_rows([0.25] * 4)[0] - 2.0) < 1e-6
+    assert abs(entropy_bits_rows([0.6, 0.4, 0, 0])[0] - ENTROPY_06_04) < 1e-6
+    assert abs(js_divergence_rows([1, 0], [0, 1])[0] - 1.0) < 1e-6
+    assert abs(js_divergence_rows([0.5, 0.5], [1, 0])[0] - JS_HALF_VS_POINT) < 1e-6
+    assert abs(js_divergence_rows([1, 0, 0, 0], [0.25] * 4)[0] - JS_ONEHOT_VS_UNIFORM4) < 1e-6
+    assert abs(bhattacharyya_rows([0.3, 0.7], [0.3, 0.7])[0] - 1.0) < 1e-6
+    assert abs(bhattacharyya_rows([1, 0], [0, 1])[0]) < 1e-6
+    assert abs(bhattacharyya_rows([0.5, 0.5], [1, 0])[0] - math.sqrt(0.5)) < 1e-6
+    y = soft_labels([[2, 1, 1, 0], [5, 0, 0, 0], [3, 2, 0, 0]])
+    assert np.allclose(y[0], [0.5, 0.25, 0.25, 0.0])
+    assert np.allclose(y[1], [1, 0, 0, 0])
+    assert np.allclose(y[2], [0.6, 0.4, 0, 0])
 
     rng = np.random.default_rng(101)
     for _ in range(10_000):
         c = int(rng.integers(2, 7))
         p = rng.dirichlet(np.full(c, 0.5))
         q = rng.dirichlet(np.full(c, 0.5))
-        d, d_rev = js_divergence(p, q), js_divergence(q, p)
+        d, d_rev = js_divergence_rows(p, q)[0], js_divergence_rows(q, p)[0]
         assert abs(d - d_rev) < 1e-12 and -1e-12 <= d <= 1 + 1e-12
-        b = bhattacharyya(p, q)
+        b = bhattacharyya_rows(p, q)[0]
         assert -1e-12 <= b <= 1 + 1e-9
-        assert js_divergence(p, p) < 1e-12
-        assert bhattacharyya(p, p) >= 1 - 1e-9
+        assert js_divergence_rows(p, p)[0] < 1e-12
+        assert bhattacharyya_rows(p, p)[0] >= 1 - 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 5.0, f"property suite took {elapsed:.2f}s"
     print(f"ACCEPTANCE 1: PASS - metric oracles and 10^4-pair properties in {elapsed:.2f}s")
@@ -101,7 +102,7 @@ def test_criterion_2_gradient_fidelity():
         for seed in range(100):
             rng = np.random.default_rng(1000 * zlib.crc32(name.encode()) % (2**32) + seed)
             f, inputs = _op_case(name, rng)
-            result = ad.grad_check(f, inputs, h=1e-4, tol=1e-4)
+            result = grad_check(f, inputs, h=1e-4, tol=1e-4)
             assert result.passed, f"{name} seed {seed}: {result.max_rel_err}"
     worst = 0.0
     for seed in range(100):

@@ -5,13 +5,13 @@ import pytest
 
 from amber import autodiff as ad
 
-from helpers import full_amber_grad_check
+from helpers import elementwise_mul, full_amber_grad_check, grad_check, mean
 
 
 def _scalarizer(rng, shape):
     """Fixed random linear functional + mean, so per-entry errors cannot cancel."""
     weights = ad.constant(rng.standard_normal(shape))
-    return lambda t: ad.mean(ad.elementwise_mul(t, weights))
+    return lambda t: mean(elementwise_mul(t, weights))
 
 
 def _away_from(rng, shape, margin=1e-3):
@@ -76,7 +76,7 @@ def _op_case(name, rng):
         a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         down = _scalarizer(rng, shape)
-        return lambda a, b: down(ad.elementwise_mul(a, b)), [a, b]
+        return lambda a, b: down(elementwise_mul(a, b)), [a, b]
     if name == "gated_mix":
         shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         g = ad.Tensor(rng.uniform(0.0, 1.0, size=shape), requires_grad=True)
@@ -91,7 +91,7 @@ def _op_case(name, rng):
         return lambda x: down(ad.scalar_mul(c, x)), [x]
     if name == "mean":
         x = ad.Tensor(rng.standard_normal((4, 4)), requires_grad=True)
-        return lambda x: ad.mean(x), [x]
+        return lambda x: mean(x), [x]
     if name == "js_loss":
         shape = (int(rng.integers(1, 5)), int(rng.integers(2, 6)))
         p = ad.Tensor(_positive_rows(rng, shape), requires_grad=True)
@@ -129,7 +129,7 @@ def test_every_op_passes_100_gradient_checks(name):
     for seed in range(100):
         rng = np.random.default_rng(1000 * zlib.crc32(name.encode()) % (2**32) + seed)
         f, inputs = _op_case(name, rng)
-        result = ad.grad_check(f, inputs, h=1e-4, tol=1e-4)
+        result = grad_check(f, inputs, h=1e-4, tol=1e-4)
         assert result.passed, f"{name} seed {seed}: max rel err {result.max_rel_err}"
 
 
@@ -143,7 +143,7 @@ def test_matmul_gradient_vs_central_differences():
     rng = np.random.default_rng(42)
     a = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
-    result = ad.grad_check(lambda a, b: ad.mean(ad.matmul(a, b)), [a, b], h=1e-4, tol=1e-4)
+    result = grad_check(lambda a, b: mean(ad.matmul(a, b)), [a, b], h=1e-4, tol=1e-4)
     assert result.passed
 
 
@@ -196,7 +196,7 @@ def test_js_loss_gradient_through_softmax_logits():
     def f(logits):
         return ad.js_loss_node(ad.softmax(logits), ad.constant(q))
 
-    result = ad.grad_check(f, [logits], h=1e-4, tol=1e-4)
+    result = grad_check(f, [logits], h=1e-4, tol=1e-4)
     assert result.passed
 
 
@@ -217,7 +217,7 @@ def test_backward_twice_on_one_graph_gives_the_same_leaf_gradients():
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
     unreached = ad.Tensor(rng.standard_normal(2), requires_grad=True)
     h = ad.add(ad.matmul(x, w), b)
-    out = ad.mean(ad.elementwise_mul(h, h))
+    out = mean(elementwise_mul(h, h))
     assert h.grad is None and out.grad is None
     ad.backward(out)
     first = [t.grad.copy() for t in (x, w, b)]
@@ -237,7 +237,7 @@ def test_backward_releases_interior_gradients_and_leaves_keep_theirs():
     gate = ad.sigmoid(h)
     hid = ad.relu(h)
     mix = ad.gated_mix(gate, hid, v)
-    prod = ad.elementwise_mul(mix, h)
+    prod = elementwise_mul(mix, h)
     probs = ad.softmax(prod)
     out = ad.js_loss_node(probs, ad.constant(np.full((4, 2), 0.5)))
     interior = (h, gate, hid, mix, prod, probs, out)
@@ -253,21 +253,20 @@ def test_grad_check_sum_of_squares():
     x = ad.Tensor(np.asarray([1.0, 2.0]).reshape(1, 2), requires_grad=True)
 
     def f(x):
-        return ad.scalar_mul(x.data.size, ad.mean(ad.elementwise_mul(x, x)))
+        return ad.scalar_mul(x.data.size, mean(elementwise_mul(x, x)))
 
     out = f(x)
     ad.backward(out)
     assert np.allclose(x.grad, [[2.0, 4.0]])
-    x.zero_grad()
-    result = ad.grad_check(f, [x], h=1e-4, tol=1e-6)
+    result = grad_check(f, [x], h=1e-4, tol=1e-6)
     assert result.passed
 
 
 def test_grad_check_dead_relu_region():
     x = ad.Tensor(np.full((2, 3), -1.0), requires_grad=True)
-    result = ad.grad_check(lambda x: ad.mean(ad.relu(x)), [x], h=1e-4, tol=1e-12)
+    result = grad_check(lambda x: mean(ad.relu(x)), [x], h=1e-4, tol=1e-12)
     assert result.passed
-    out = ad.mean(ad.relu(x))
+    out = mean(ad.relu(x))
     ad.backward(out)
     assert np.array_equal(x.grad, np.zeros_like(x.data))
 
@@ -281,10 +280,10 @@ def test_grad_check_full_objective_micro_model():
 def test_grad_check_rejects_non_scalar_and_nan():
     x = ad.Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.grad_check(lambda x: ad.relu(x), [x])
+        grad_check(lambda x: ad.relu(x), [x])
     bad = ad.Tensor(np.asarray([[np.nan]]), requires_grad=True)
     with pytest.raises(ValueError):
-        ad.grad_check(lambda x: ad.mean(x), [bad])
+        grad_check(lambda x: mean(x), [bad])
 
 
 def test_backward_requires_scalar_root():
@@ -298,7 +297,7 @@ def test_backward_is_deterministic_bitwise():
         rng = np.random.default_rng(33)
         a = ad.Tensor(rng.standard_normal((4, 3)), requires_grad=True)
         b = ad.Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-        out = ad.mean(ad.softmax(ad.matmul(ad.relu(a), b)))
+        out = mean(ad.softmax(ad.matmul(ad.relu(a), b)))
         ad.backward(out)
         return a.grad, b.grad
 
@@ -383,7 +382,7 @@ def _linear_composite(x, w, b):
 
 def _gated_mix_composite(g, a, b):
     inv_gate = ad.add(ad.constant(np.ones_like(g.data)), ad.scalar_mul(-1.0, g))
-    return ad.add(ad.elementwise_mul(g, a), ad.elementwise_mul(inv_gate, b))
+    return ad.add(elementwise_mul(g, a), elementwise_mul(inv_gate, b))
 
 
 def _fused_op_inputs():

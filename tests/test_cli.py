@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 from amber import trainer
 from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
 from amber.errors import DataValidationError
-from amber.evalreport import EvalReport, emit_report
+from amber.evalreport import EvalReport, aggregate, all_metrics, ambiguity_bins, emit_report, render_json
 from amber.model import ModelConfig, init_params, save_checkpoint
 from amber.trainer import TrainConfig
 
@@ -415,6 +418,75 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         assert main(["bins", "--report", str(bad)]) == 2, blob
         assert "data validation error" in capsys.readouterr().err
 
+
+def _fuzz_report_text():
+    rng = np.random.default_rng(3)
+    reports = []
+    for fold in range(2):
+        preds, targets = rng.dirichlet(np.ones(3), size=(2, 12))
+        reports.append(EvalReport(system="amber", fold=fold, seed=0, metrics=all_metrics(preds, targets),
+                                  bins=ambiguity_bins(preds, targets, 3)))
+    return render_json(reports, aggregate(reports))
+
+
+_REPORT_TEXT = _fuzz_report_text()
+_REPORT_CELLS = [True, False, None, "x", "", [], {}, [0.5], {"mean": 0.5}, {"mean": 0.5, "std": 0.0},
+                 0, -1, 0.5, 5e-324, 1e308, -1e308, 2**70, -2**70, 2**1100, math.inf, math.nan]
+
+
+def _json_paths(node, prefix=()):
+    """The key path of every value below `node`, the root excluded."""
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield prefix + (key,)
+        yield from _json_paths(node[key], prefix + (key,))
+
+
+def _report_mutant(draw):
+    """One to three value edits of a valid report.json, its file then maybe cut short."""
+    blob = json.loads(_REPORT_TEXT)
+    depth = draw(st.sampled_from([2, 50, 100_000]))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, last = draw(st.sampled_from(list(_json_paths(blob))))
+        node = blob
+        for key in parents:
+            node = node[key]
+        kind = draw(st.sampled_from(["replace", "remove", "deep"]))
+        if kind == "replace":
+            node[last] = copy.deepcopy(draw(st.sampled_from(_REPORT_CELLS)))
+        elif kind == "remove":
+            del node[last]
+        else:
+            node[last] = "__deep__"
+    text = json.dumps(blob, indent=2).replace('"__deep__"', "[" * depth + "]" * depth)
+    if draw(st.integers(0, 3)) == 0:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("report")
+    good, bad, out = folder / "good.json", folder / "bad.json", folder / "out.csv"
+    good.write_text(_REPORT_TEXT, encoding="utf-8")
+    bad.write_text(_report_mutant(data.draw), encoding="utf-8")
+    shapes = (
+        ["compare", "--baseline", str(bad), "--candidate", str(good)],
+        ["compare", "--baseline", str(good), "--candidate", str(bad), "--out", str(out)],
+        ["bins", "--report", str(bad)],
+        ["bins", "--report", str(good), "--report", str(bad), "--out", str(out)],
+    )
+    for args in shapes:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == "", args
+        else:
+            assert code == 2, (args, err)
+            assert err.startswith("amber: data validation error: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("command", ["eval", "compare", "bins", "train"])

@@ -17,6 +17,7 @@ from amber.dataio import (
     write_text_atomic,
 )
 from amber import dataio
+from amber.cli import main as cli_main
 from amber.distlib import entropy_bits_rows
 from amber.errors import DataValidationError
 
@@ -62,11 +63,25 @@ def test_save_load_round_trip_is_exact(tmp_path):
     assert np.array_equal(ds.votes, back.votes)
 
 
-def test_zero_votes_rejected_with_line_number(tmp_path):
-    path = _write(tmp_path, [HEADER, _record(0), _record(1, votes=(0, 0, 0)), _record(2)])
+def _assert_votes_rejected_on_line_3(tmp_path, capsys, votes, message):
+    """`load_jsonl` names the line and the fault; `amber train` exits 2 with both."""
+    path = _write(tmp_path, [HEADER, _record(0), _record(1, votes=votes), _record(2)])
     with pytest.raises(DataValidationError) as err:
         load_jsonl(path)
     assert err.value.line == 3
+    assert str(err.value) == f"{path}: line 3: {message}"
+    assert cli_main(["train", "--data", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"amber: data validation error: {path}: line 3: {message}\n"
+
+
+def test_zero_votes_rejected_with_line_number(tmp_path, capsys):
+    _assert_votes_rejected_on_line_3(tmp_path, capsys, (0, 0, 0),
+                                     "invalid votes: at least one rater vote is required")
+
+
+def test_negative_votes_rejected_with_line_number(tmp_path, capsys):
+    _assert_votes_rejected_on_line_3(tmp_path, capsys, (2, -1, 3),
+                                     "'votes' entries must be non-negative integers")
 
 
 def test_stored_y_mismatch_rejected(tmp_path):

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from amber.distlib import bhattacharyya, js_divergence
+from amber.distlib import bhattacharyya_rows, js_divergence_rows
 from amber.evalreport import (
     EvalReport,
     aggregate,
@@ -89,8 +89,9 @@ def test_dist_metrics_equal_mean_of_per_sample_divergences():
         preds = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         targets = rng.multinomial(10, np.ones(c) / c, size=n) / 10
         m = dist_metrics(preds, targets)
-        assert m["JS"] == float(np.mean([js_divergence(p, y) for p, y in zip(preds, targets)]))
-        assert m["BC"] == float(np.mean([bhattacharyya(p, y) for p, y in zip(preds, targets)]))
+        pairs = [(p / p.sum(), y / y.sum()) for p, y in zip(preds, targets)]
+        assert m["JS"] == float(np.mean([js_divergence_rows(p, y)[0] for p, y in pairs]))
+        assert m["BC"] == float(np.mean([bhattacharyya_rows(p, y)[0] for p, y in pairs]))
 
 
 def test_cls_metrics_perfect():

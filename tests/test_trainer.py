@@ -8,6 +8,7 @@ from amber import losses as losses_mod
 from amber import trainer as trainer_mod
 from amber.dataio import SynthConfig, generate_synthetic
 from amber.errors import NumericalAbortError
+from amber.evalreport import aggregate
 from amber.losses import LossConfig, rai_loss
 from amber.model import ModelConfig
 from amber.trainer import TrainConfig, cross_validate, init_opt_state, opt_step, train_one
@@ -197,7 +198,8 @@ def test_non_finite_loss_aborts_with_coordinates():
 def test_cross_validate_shape_and_aggregate():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0, 1))
-    records, agg = cross_validate(ds, cfg)
+    records = cross_validate(ds, cfg)
+    agg = aggregate([r.report for r in records])
     assert len(records) == ds.fold_count * 2
     assert [(r.fold, r.seed) for r in records] == [
         (f, s) for f in range(ds.fold_count) for s in (0, 1)
@@ -209,7 +211,7 @@ def test_cross_validate_shape_and_aggregate():
 def test_duplicate_seeds_have_zero_std():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(7, 7))
-    records, agg = cross_validate(ds, cfg)
+    records = cross_validate(ds, cfg)
     per_fold = {}
     for r in records:
         per_fold.setdefault(r.fold, []).append(r.report.metrics["JS"])
@@ -220,9 +222,9 @@ def test_duplicate_seeds_have_zero_std():
 def test_parallel_and_serial_cross_validation_agree():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0,))
-    serial_records, serial_agg = cross_validate(ds, cfg, jobs=1)
-    par_records, par_agg = cross_validate(ds, cfg, jobs=2)
-    assert serial_agg == par_agg
+    serial_records = cross_validate(ds, cfg, jobs=1)
+    par_records = cross_validate(ds, cfg, jobs=2)
+    assert aggregate([r.report for r in serial_records]) == aggregate([r.report for r in par_records])
     for a, b in zip(serial_records, par_records):
         assert (a.fold, a.seed) == (b.fold, b.seed)
         assert a.report.metrics == b.report.metrics
@@ -249,7 +251,7 @@ def test_cross_validate_asks_for_no_more_workers_than_runs(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     ds = _dataset(n_samples=60)
     cfg = TrainConfig(model=_model_cfg(), epochs=1, batch=64, seeds=(0,))
-    records, _ = cross_validate(ds, cfg, jobs=10**6)
+    records = cross_validate(ds, cfg, jobs=10**6)
     assert asked == [len(records)] == [ds.fold_count]
 
 
