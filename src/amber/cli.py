@@ -295,8 +295,6 @@ def cmd_train(ns, parser):
     _write_json(out_dir / "manifest.json", manifest)
 
     records = trainer.cross_validate(ds, cfg, jobs=resolved["jobs"])
-    for rec in records:
-        rec.report.provenance["manifest"] = manifest["manifest_sha256"]
 
     log_lines = [
         json.dumps({"run_id": f"f{rec.fold}-s{rec.seed}", "epoch": entry["epoch"], "split": split,
@@ -305,25 +303,17 @@ def cmd_train(ns, parser):
     ]
     write_text_atomic(out_dir / "train-log.jsonl", log_lines)
 
-    for rec in records:
+    reports = [rec.report for rec in records]
+    for rec, r in zip(records, reports):
+        r.provenance["manifest"] = manifest["manifest_sha256"]
         model.save_checkpoint(
-            out_dir / "checkpoints" / f"ckpt-f{rec.fold}-s{rec.seed}.json",
+            out_dir / "checkpoints" / f"ckpt-f{r.fold}-s{r.seed}.json",
             cfg.model,
             rec.selected_params,
-            provenance={
-                "system": cfg.objective,
-                "fold": rec.fold,
-                "seed": rec.seed,
-                "selected_epoch": rec.selected_epoch,
-                "manifest": manifest["manifest_sha256"],
-            },
+            provenance={"system": r.system, "fold": r.fold, "seed": r.seed, **r.provenance},
         )
-
-    reports = [rec.report for rec in records]
-    evalreport.emit_report(reports, out_dir / "report.json", "json")
-    evalreport.emit_report(reports, out_dir / "report.csv", "csv")
-    evalreport.emit_report(reports, out_dir / "report.md", "markdown")
-    print(evalreport.render_markdown(reports, evalreport.aggregate(reports)))
+    summary = evalreport.emit_report(reports, *(out_dir / f"report.{ext}" for ext in ("json", "csv", "md")))
+    print(evalreport.render_markdown(reports, summary))
     return EXIT_OK
 
 
@@ -362,9 +352,8 @@ def cmd_eval(ns, parser):
     )
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    evalreport.emit_report([report], out_dir / "eval-report.json", "json")
-    evalreport.emit_report([report], out_dir / "eval-report.csv", "csv")
-    print(evalreport.render_markdown([report], evalreport.aggregate([report])))
+    summary = evalreport.emit_report([report], out_dir / "eval-report.json", out_dir / "eval-report.csv")
+    print(evalreport.render_markdown([report], summary))
     return EXIT_OK
 
 
@@ -410,31 +399,24 @@ def cmd_compare(ns, parser):
 def cmd_bins(ns, parser):
     if len(ns.report) > 2:
         parser.error("--report may be given at most twice")
-    loaded = []
+    names, tables = [], []
     for path in ns.report:
         reports, agg = evalreport.load_report(path)
-        name = reports[0].system if reports else path
-        loaded.append((name, agg["bins"]))
+        names.append(reports[0].system if reports else path)
+        tables.append(agg["bins"])
+    edges = [[[row["lo"], row["hi"]] for row in bins] for bins in tables]
+    if edges[-1] != edges[0]:
+        raise DataValidationError(f"reports differ in their bin edges: {edges[0]} vs {edges[-1]}")
+    if len(set(names)) < len(names):  # a run and its ablation: number the columns by --report
+        names = [f"{name}#{k}" for k, name in enumerate(names, 1)]
 
-    metric_names = [m for m in evalreport.METRIC_ORDER if m != "R2_raw"]
-    header = ["bin", "lo", "hi"]
-    for name, _ in loaded:
-        header.extend(f"{name}:{m}" for m in metric_names)
+    header = ["bin", "lo", "hi"] + [f"{name}:{m}" for name in names for m in evalreport.BIN_METRICS]
     rows = []
-    n_bins = max(len(b) for _, b in loaded)
-    for i in range(n_bins):
-        cells = {}
-        row = [i]
-        for _, bins_list in loaded:
-            if i < len(bins_list):
-                cells = bins_list[i]
-                break
-        row.extend([f"{cells.get('lo', 0):.4f}", f"{cells.get('hi', 0):.4f}"])
-        for _, bins_list in loaded:
-            bin_row = bins_list[i] if i < len(bins_list) else {"metrics": {}}
-            for m in metric_names:
-                cell = bin_row["metrics"].get(m)
-                row.append(repr(cell["mean"]) if cell else "")
+    for i, (lo, hi) in enumerate(edges[0]):
+        row = [i, f"{lo:.4f}", f"{hi:.4f}"]
+        for bins in tables:
+            cells = bins[i]["metrics"]
+            row += [repr(cells[m]["mean"]) if m in cells else "" for m in evalreport.BIN_METRICS]
         rows.append(row)
 
     text = evalreport.csv_text(header, rows)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -23,6 +24,7 @@ from .dataio import write_text_atomic
 from .errors import DataValidationError
 
 METRIC_ORDER = ("JS", "BC", "R2", "R2_raw", "F1_macro", "WF1", "ACC")
+BIN_METRICS = tuple(name for name in METRIC_ORDER if name != "R2_raw")  # the binned tables' columns
 LOWER_IS_BETTER = ("JS",)
 
 CSV_COLUMNS = ("system", "fold", "seed", "bin", "metric", "value", "mean", "std")
@@ -38,17 +40,6 @@ class EvalReport:
     metrics: dict
     bins: list = field(default_factory=list)
     provenance: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, blob):
-        return cls(
-            system=blob["system"],
-            fold=blob["fold"],
-            seed=blob["seed"],
-            metrics=blob["metrics"],
-            bins=blob.get("bins", []),
-            provenance=blob.get("provenance", {}),
-        )
 
 
 def _as_matrices(preds, targets):
@@ -170,43 +161,42 @@ def _stats(values) -> dict:
     return {"mean": float(np.mean(values)), "std": float(np.std(values)), "n": len(values)}
 
 
+def _cells(metric_dicts) -> dict:
+    """Mean/std cell of each metric, in METRIC_ORDER, over the dicts that hold a value for it."""
+    cells = {}
+    for name in METRIC_ORDER:
+        values = [m[name] for m in metric_dicts if m.get(name) is not None]
+        if values:
+            cells[name] = _stats(values)
+    return cells
+
+
 def aggregate(reports) -> dict:
-    """Mean/std (population) per metric over runs, overall and per bin."""
+    """Mean/std (population) per metric over runs, overall and per bin.
+
+    The bins and their edges are the first report's; every report must
+    have as many bins.
+    """
     if not reports:
         raise ValueError("nothing to aggregate")
-    metrics = {}
-    for name in METRIC_ORDER:
-        values = [r.metrics[name] for r in reports if r.metrics.get(name) is not None]
-        if values:
-            metrics[name] = _stats(values)
+    first = reports[0].bins
+    if any(len(r.bins) != len(first) for r in reports):
+        raise ValueError("reports differ in their number of bins")
     bins = []
-    n_bins = max((len(r.bins) for r in reports), default=0)
-    for b in range(n_bins):
-        cell = {"bin": b, "count": 0, "metrics": {}}
-        per_run = [r.bins[b] for r in reports if len(r.bins) > b]
-        if per_run:
-            cell["lo"] = per_run[0]["lo"]
-            cell["hi"] = per_run[0]["hi"]
-        cell["count"] = int(sum(row["count"] for row in per_run))
-        for name in METRIC_ORDER:
-            values = [
-                row["metrics"][name]
-                for row in per_run
-                if row["metrics"] is not None and row["metrics"].get(name) is not None
-            ]
-            if values:
-                cell["metrics"][name] = _stats(values)
-        bins.append(cell)
-    return {"metrics": metrics, "bins": bins}
+    for b, row in enumerate(first):
+        per_run = [r.bins[b] for r in reports]
+        bins.append({
+            "bin": b,
+            "count": sum(x["count"] for x in per_run),
+            "metrics": _cells([x["metrics"] or {} for x in per_run]),
+            "lo": row["lo"],
+            "hi": row["hi"],
+        })
+    return {"metrics": _cells([r.metrics for r in reports]), "bins": bins}
 
 
 def _fmt(x):
     return "" if x is None else repr(float(x))
-
-
-def _order_key(value):
-    text = str(value)
-    return (0, int(text), "") if text.lstrip("-").isdigit() else (1, 0, text)
 
 
 def csv_text(header, rows) -> str:
@@ -218,54 +208,46 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _csv_rows(key, metrics, bins, values):
+    """CSV rows of one run, or of the aggregate: overall metrics, then each bin's count and metrics.
+
+    `key` is (system, fold, seed); `values` maps a metric entry to its
+    (value, mean, std) cells.
+    """
+    def metric_rows(scope, cells):
+        return [[*key, scope, name, *values(cells[name])]
+                for name in METRIC_ORDER if cells.get(name) is not None]
+
+    rows = metric_rows("all", metrics)
+    for row in bins:
+        rows.append([*key, row["bin"], "count", row["count"], "", ""])
+        rows += metric_rows(row["bin"], row["metrics"] or {})
+    return rows
+
+
 def render_csv(reports, summary) -> str:
     rows = []
-    for r in sorted(reports, key=lambda r: (str(r.system), _order_key(r.fold), _order_key(r.seed))):
-        for name in METRIC_ORDER:
-            if r.metrics.get(name) is None:
-                continue
-            rows.append([r.system, r.fold, r.seed, "all", name, _fmt(r.metrics[name]), "", ""])
-        for row in r.bins:
-            rows.append([r.system, r.fold, r.seed, row["bin"], "count", row["count"], "", ""])
-            if row["metrics"] is None:
-                continue
-            for name in METRIC_ORDER:
-                if row["metrics"].get(name) is None:
-                    continue
-                rows.append(
-                    [r.system, r.fold, r.seed, row["bin"], name, _fmt(row["metrics"][name]), "", ""]
-                )
-    system = reports[0].system if reports else ""
-    for name, cell in summary["metrics"].items():
-        rows.append([system, "all", "all", "all", name, "", _fmt(cell["mean"]), _fmt(cell["std"])])
-    for row in summary["bins"]:
-        rows.append([system, "all", "all", row["bin"], "count", row["count"], "", ""])
-        for name, cell in row["metrics"].items():
-            rows.append(
-                [system, "all", "all", row["bin"], name, "", _fmt(cell["mean"]), _fmt(cell["std"])]
-            )
+    for r in reports:
+        rows += _csv_rows((r.system, r.fold, r.seed), r.metrics, r.bins, lambda x: (_fmt(x), "", ""))
+    rows += _csv_rows((reports[0].system, "all", "all"), summary["metrics"], summary["bins"],
+                      lambda cell: ("", _fmt(cell["mean"]), _fmt(cell["std"])))
     return csv_text(CSV_COLUMNS, rows)
 
 
 def render_markdown(reports, summary) -> str:
-    system = reports[0].system if reports else ""
-    lines = [f"### {system}: {len(reports)} run(s)", ""]
+    lines = [f"### {reports[0].system}: {len(reports)} run(s)", ""]
     lines.append("| metric | mean | std | n |")
     lines.append("|---|---|---|---|")
     for name, cell in summary["metrics"].items():
         lines.append(f"| {name} | {cell['mean']:.4f} | {cell['std']:.4f} | {cell['n']} |")
     if summary["bins"]:
         lines.append("")
-        lines.append("| bin | entropy range (bits) | count | " + " | ".join(
-            name for name in METRIC_ORDER if name != "R2_raw") + " |")
-        lines.append("|---" * (3 + len(METRIC_ORDER) - 1) + "|")
+        lines.append("| bin | entropy range (bits) | count | " + " | ".join(BIN_METRICS) + " |")
+        lines.append("|---" * (3 + len(BIN_METRICS)) + "|")
         for row in summary["bins"]:
-            cells = [str(row["bin"]), f"[{row.get('lo', 0):.3f}, {row.get('hi', 0):.3f}]", str(row["count"])]
-            for name in METRIC_ORDER:
-                if name == "R2_raw":
-                    continue
-                cell = row["metrics"].get(name)
-                cells.append(f"{cell['mean']:.4f}" if cell else "-")
+            cells = [str(row["bin"]), f"[{row['lo']:.3f}, {row['hi']:.3f}]", str(row["count"])]
+            cells += [f"{row['metrics'][name]['mean']:.4f}" if name in row["metrics"] else "-"
+                      for name in BIN_METRICS]
             lines.append("| " + " | ".join(cells) + " |")
     lines.append("")
     return "\n".join(lines)
@@ -279,16 +261,24 @@ def render_json(reports, summary) -> str:
     return json.dumps(blob, indent=2) + "\n"
 
 
-def emit_report(reports, path, fmt: str):
-    """Write runs + aggregate in one of {csv, markdown, json}, deterministically."""
+RENDERERS = {".json": render_json, ".csv": render_csv, ".md": render_markdown}
+
+
+def emit_report(reports, *paths) -> dict:
+    """Write runs + aggregate to each path, in the format its suffix names; return the aggregate.
+
+    Suffixes are `.json`, `.csv` and `.md`; any other raises `ValueError`
+    before a file is written. The output is deterministic.
+    """
     if not reports:
         raise ValueError("emit_report needs at least one report")
+    renderers = [RENDERERS.get(os.path.splitext(path)[1]) for path in paths]
+    if None in renderers:
+        raise ValueError(f"report paths {[str(p) for p in paths]} need a suffix in {sorted(RENDERERS)}")
     summary = aggregate(reports)
-    renderers = {"csv": render_csv, "markdown": render_markdown, "json": render_json}
-    if fmt not in renderers:
-        raise ValueError(f"unknown report format {fmt!r}")
-    write_text_atomic(path, renderers[fmt](reports, summary))
-    return path
+    for path, render in zip(paths, renderers):
+        write_text_atomic(path, render(reports, summary))
+    return summary
 
 
 def _is_number(value) -> bool:
@@ -309,13 +299,15 @@ def load_report(path):
     with open(path, encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
-            reports = [EvalReport.from_dict(r) for r in blob["reports"]]
+            reports = [EvalReport(**r) for r in blob["reports"]]
+            if not all(isinstance(r.system, str) for r in reports):
+                raise TypeError("a report needs a string 'system'")
             summary = blob["aggregate"]
             if not isinstance(summary["bins"], list):
                 raise TypeError("aggregate needs a 'bins' list")
             _check_metric_cells(summary["metrics"])
             for row in summary["bins"]:
-                if not isinstance(row, dict) or not all(_is_number(row.get(k, 0)) for k in ("lo", "hi")):
+                if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in ("lo", "hi")):
                     raise TypeError("a bin row must be an object with number 'lo' and 'hi'")
                 _check_metric_cells(row["metrics"])
         except (ValueError, KeyError, TypeError) as exc:

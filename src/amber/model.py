@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataio import write_text_atomic
-from .errors import DataValidationError
+from .errors import DataValidationError, NumericalAbortError
 
 MODALITIES = ("a", "t", "at")
 
@@ -122,7 +122,10 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
     )
     proj_a = ad.matmul(h_a, tensors["fuse.proj_a"])
     proj_t = ad.matmul(h_t, tensors["fuse.proj_t"])
-    return ad.gated_mix(gate, proj_a, proj_t)
+    h_at = ad.gated_mix(gate, proj_a, proj_t)
+    if not np.all(np.isfinite(h_at.data)):  # parameters too large: a numerical fault, not bad input
+        raise NumericalAbortError("non-finite fused embedding")
+    return h_at
 
 
 def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig) -> dict:
@@ -139,13 +142,17 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
     """Gradient-free forward pass of the student alone: `{cfg.student: rows}`.
 
     Only the student head runs, after the fusion if the student is "at"; its
-    rows are bit-equal to `forward_all(...)[cfg.student]`.
+    rows are bit-equal to `forward_all(...)[cfg.student]`. Parameters that
+    overflow it to a non-finite value raise `NumericalAbortError`.
     """
     tensors = wrap_params(params, requires_grad=False)
     h = {"a": ad.constant(h_a), "t": ad.constant(h_t)}
     if cfg.student == "at":
         h["at"] = fuse(tensors, h["a"], h["t"])
-    return {cfg.student: head_forward(tensors, cfg.student, h[cfg.student]).data}
+    rows = head_forward(tensors, cfg.student, h[cfg.student]).data
+    if not np.all(np.isfinite(rows)):
+        raise NumericalAbortError(f"non-finite output of head {cfg.student!r}")
+    return {cfg.student: rows}
 
 
 # ---------------------------------------------------------------------------

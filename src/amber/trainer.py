@@ -194,9 +194,10 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
             key: float(np.mean([b[key] for b in batch_fields]))
             for key in batch_fields[0]
         }
-        val_out = predict(params, cfg.model, ha_val, ht_val)[student]
-        if not np.all(np.isfinite(val_out)):
-            raise NumericalAbortError("non-finite validation predictions", epoch=epoch)
+        try:
+            val_out = predict(params, cfg.model, ha_val, ht_val)[student]
+        except NumericalAbortError as exc:
+            raise NumericalAbortError(f"validation: {exc}", epoch=epoch) from None
         val_metrics = evalreport.dist_metrics(val_out, y_val)
         epochs_log.append(
             {"epoch": epoch, "train": train_fields, "val": val_metrics}

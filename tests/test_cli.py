@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -16,7 +17,16 @@ from hypothesis import strategies as st
 from amber import trainer
 from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
 from amber.errors import DataValidationError
-from amber.evalreport import EvalReport, aggregate, all_metrics, ambiguity_bins, emit_report, render_json
+from amber.evalreport import (
+    BIN_METRICS,
+    EvalReport,
+    aggregate,
+    all_metrics,
+    ambiguity_bins,
+    emit_report,
+    load_report,
+    render_json,
+)
 from amber.model import ModelConfig, init_params, save_checkpoint
 from amber.trainer import TrainConfig
 
@@ -248,7 +258,7 @@ def test_eval_rejects_more_bins_than_the_split_rows(dataset, tmp_path, capsys):
 
 def _write_report(path, metrics):
     report = EvalReport(system="x", fold=0, seed=0, metrics=metrics)
-    emit_report([report], path, "json")
+    emit_report([report], path)
 
 
 def test_compare_identical_reports_zero_deltas(tmp_path, capsys):
@@ -291,6 +301,50 @@ def test_bins_command_prints_table(dataset, tmp_path, capsys):
     lines = out_csv.read_text().splitlines()
     assert lines[0].startswith("bin,lo,hi,")
     assert len(lines) == 4  # 3 bins + header
+
+
+def _binned_report(path, system, n_bins, seed=0):
+    rng = np.random.default_rng(seed)
+    preds, targets = rng.dirichlet(np.ones(3), size=(2, 40))
+    report = EvalReport(system=system, fold=0, seed=seed, metrics=all_metrics(preds, targets),
+                        bins=ambiguity_bins(preds, targets, n_bins))
+    emit_report([report], path)
+
+
+def test_bins_rejects_reports_with_different_bin_edges(tmp_path, capsys):
+    four, two, out = tmp_path / "four.json", tmp_path / "two.json", tmp_path / "bins.csv"
+    _binned_report(four, "amber", 4)
+    _binned_report(two, "cbce", 2)
+    assert main(["bins", "--report", str(four), "--report", str(two), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("amber: data validation error: reports differ in their bin edges: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_bins_numbers_the_columns_of_two_reports_of_one_system(tmp_path, capsys):
+    run, ablation, out = tmp_path / "run.json", tmp_path / "ablation.json", tmp_path / "bins.csv"
+    _binned_report(run, "amber", 3, seed=0)
+    _binned_report(ablation, "amber", 3, seed=1)
+    assert main(["bins", "--report", str(run), "--report", str(ablation), "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert len(set(header)) == len(header)
+    assert header[3] == "amber#1:JS" and header[3 + len(BIN_METRICS)] == "amber#2:JS"
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    for k, path in enumerate((run, ablation), 1):
+        _, agg = load_report(path)
+        means = [repr(cell["metrics"]["JS"]["mean"]) if cell["count"] else "" for cell in agg["bins"]]
+        assert [row[f"amber#{k}:JS"] for row in rows] == means
+
+
+def test_bins_keeps_the_system_names_of_two_different_systems(tmp_path, capsys):
+    amber_report, cbce_report = tmp_path / "amber.json", tmp_path / "cbce.json"
+    _binned_report(amber_report, "amber", 3)
+    _binned_report(cbce_report, "cbce", 3, seed=1)
+    assert main(["bins", "--report", str(amber_report), "--report", str(cbce_report)]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == ",".join(["bin", "lo", "hi"] + [f"{system}:{m}" for system in ("amber", "cbce")
+                                                     for m in BIN_METRICS])
 
 
 def test_malformed_datasets_exit_2_with_line_numbers(tmp_path, capsys):
@@ -374,6 +428,31 @@ def test_numerical_abort_exits_3(dataset, tmp_path, capsys):
     code = main(_train_args(dataset, out_dir, **{"--lr": "1e30"}))
     assert code == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("batch, where", [(16, "(epoch 1, batch 1)"), (32, "(epoch 1)")])
+def test_overflowing_forward_pass_in_train_exits_3(dataset, tmp_path, capsys, batch, where):
+    # 20 training rows: batch 16 overflows the fused embedding in the second
+    # step, batch 32 (one step per epoch) in the validation pass after it
+    code = main(_train_args(dataset, tmp_path / "boom", **{"--lr": "1e308", "--batch": batch}))
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("amber: numerical abort: ") and err.endswith(f"{where}\n"), err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_forward_pass_in_eval_exits_3(dataset, tmp_path, capsys):
+    cfg = ModelConfig(dim_a=4, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
+    params = {name: np.full_like(value, 1e307) for name, value in init_params(cfg, 0).items()}
+    ckpt = tmp_path / "ckpt.json"
+    save_checkpoint(ckpt, cfg, params, {"system": "amber", "fold": 0, "seed": 0})
+    out = tmp_path / "ev"
+    code = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("amber: numerical abort: ") and err.count("\n") == 1, err
+    assert not (out / "eval-report.json").exists()
 
 
 def _exit_in_worker(cell):

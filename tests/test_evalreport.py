@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -231,8 +232,8 @@ def test_aggregate_constant_metric_has_zero_std():
 def test_emit_report_single_and_deterministic(tmp_path):
     reports = _fake_reports(1)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(reports, p1, "csv")
-    emit_report(reports, p2, "csv")
+    emit_report(reports, p1)
+    emit_report(reports, p2)
     assert p1.read_bytes() == p2.read_bytes()
     rows = list(csv.reader(io.StringIO(p1.read_text())))
     assert rows[0] == ["system", "fold", "seed", "bin", "metric", "value", "mean", "std"]
@@ -243,7 +244,7 @@ def test_emit_report_single_and_deterministic(tmp_path):
 def test_emit_report_json_round_trip(tmp_path):
     reports = _fake_reports(3)
     path = tmp_path / "r.json"
-    emit_report(reports, path, "json")
+    emit_report(reports, path)
     back, agg = load_report(path)
     assert len(back) == 3
     assert back[0].metrics == reports[0].metrics
@@ -268,6 +269,29 @@ def test_markdown_round_trips_through_column_schema(tmp_path):
 
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ValueError):
-        emit_report([], tmp_path / "x.csv", "csv")
+        emit_report([], tmp_path / "x.csv")
     with pytest.raises(ValueError):
-        emit_report(_fake_reports(1), tmp_path / "x.xml", "xml")
+        emit_report(_fake_reports(1), tmp_path / "x.xml")
+
+
+def test_emit_report_checks_every_suffix_before_writing(tmp_path):
+    ok, bad = tmp_path / "ok.json", tmp_path / "bad.xml"
+    with pytest.raises(ValueError, match="suffix"):
+        emit_report(_fake_reports(1), ok, bad)
+    assert not ok.exists() and not bad.exists()
+
+
+def test_emit_report_returns_the_aggregate_of_every_file(tmp_path):
+    reports = _fake_reports(2)
+    paths = [tmp_path / f"r.{ext}" for ext in ("json", "csv", "md")]
+    summary = emit_report(reports, *paths)
+    assert summary == aggregate(reports)
+    assert load_report(paths[0])[1] == json.loads(json.dumps(summary))
+    assert paths[2].read_text() == render_markdown(reports, summary)
+
+
+def test_aggregate_rejects_reports_with_different_bin_counts():
+    reports = _fake_reports(2)
+    reports[1].bins = reports[1].bins[:2]
+    with pytest.raises(ValueError, match="number of bins"):
+        aggregate(reports)
