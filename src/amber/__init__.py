@@ -19,8 +19,8 @@ _EXPORTS = {
     "dataio": ("Dataset", "SynthConfig", "fold_split", "generate_synthetic", "load_jsonl", "save_jsonl"),
     "distlib": ("SoftLabel",),
     "errors": ("DataValidationError", "NumericalAbortError"),
-    "evalreport": ("EvalReport", "all_metrics", "ambiguity_bins", "cls_metrics", "dist_metrics", "emit_report"),
-    "losses": ("LossBreakdown", "LossConfig", "amber_loss", "cbce_loss", "class_weights_from", "expert_weights"),
+    "evalreport": ("EvalReport", "all_metrics", "ambiguity_bins", "dist_metrics", "emit_report"),
+    "losses": ("LossConfig", "amber_loss", "cbce_loss", "class_weights_from", "expert_weights"),
     "model": ("ModelConfig", "forward_all", "fuse", "head_forward", "init_params", "load_checkpoint",
               "save_checkpoint"),
     "trainer": ("OptState", "RunRecord", "TrainConfig", "cross_validate", "init_opt_state", "opt_step", "train_one"),

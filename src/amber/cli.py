@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__, evalreport, model, trainer
 from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl, write_text_atomic
 from .errors import DataValidationError, NumericalAbortError, WorkerDiedError
-from .losses import LossConfig
+from .losses import EXPERT_SUPERVISION, MAI_EXPERT_GRAD, LossConfig
 from .model import ModelConfig
 
 EXIT_OK = 0
@@ -56,8 +56,8 @@ TRAIN_OPTIONS = {
     "lambda_rai": (float, LossConfig.lambda_rai, None, None),
     "lambda_mai": (float, LossConfig.lambda_mai, None, None),
     "kappa": (float, LossConfig.kappa, None, None),
-    "expert_supervision": (str, LossConfig.expert_supervision, ("rai", "none"), None),
-    "mai_grad": (str, LossConfig.mai_expert_grad, ("detached", "coupled"), None),
+    "expert_supervision": (str, LossConfig.expert_supervision, EXPERT_SUPERVISION, None),
+    "mai_grad": (str, LossConfig.mai_expert_grad, MAI_EXPERT_GRAD, None),
     "hidden": (int, ModelConfig.hidden, None, None),
     "fusion_dim": (int, ModelConfig.fusion_dim, None, None),
     "lr": (float, trainer.TrainConfig.lr, None, None),
@@ -296,14 +296,13 @@ def cmd_train(ns, parser):
 
     records = trainer.cross_validate(ds, cfg, jobs=resolved["jobs"])
 
+    reports = [rec.report for rec in records]
     log_lines = [
-        json.dumps({"run_id": f"f{rec.fold}-s{rec.seed}", "epoch": entry["epoch"], "split": split,
-                    **entry[split]}) + "\n"
-        for rec in records for entry in rec.epochs for split in ("train", "val")
+        json.dumps({"run_id": f"f{r.fold}-s{r.seed}", "epoch": entry["epoch"], "split": split, **entry[split]}) + "\n"
+        for rec, r in zip(records, reports) for entry in rec.epochs for split in ("train", "val")
     ]
     write_text_atomic(out_dir / "train-log.jsonl", log_lines)
 
-    reports = [rec.report for rec in records]
     for rec, r in zip(records, reports):
         r.provenance["manifest"] = manifest["manifest_sha256"]
         model.save_checkpoint(

@@ -87,16 +87,12 @@ def _dist_metrics(p, y):
     return {"JS": js, "BC": bc, "R2": r2, "R2_raw": r2_raw}
 
 
-def cls_metrics(preds, targets) -> dict:
+def _cls_metrics(p, y):
     """Macro-F1, support-weighted F1 and accuracy on argmax labels.
 
     Classes absent from both targets and predictions contribute F1 = 0 to
     the macro average and zero weight to the weighted one.
     """
-    return _cls_metrics(*_as_matrices(preds, targets))
-
-
-def _cls_metrics(p, y):
     n_classes = y.shape[1]
     p_hat = np.argmax(p, axis=1)
     y_hat = np.argmax(y, axis=1)

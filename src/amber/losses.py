@@ -16,7 +16,7 @@ consistency term pull experts toward the student and is kept for ablations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,43 +24,25 @@ from . import autodiff as ad
 from .model import MODALITIES
 
 
+EXPERT_SUPERVISION = ("rai", "none")
+MAI_EXPERT_GRAD = ("detached", "coupled")
+
+
 @dataclass
 class LossConfig:
     lambda_rai: float = 1.0
     lambda_mai: float = 0.5
     kappa: float = 4.0
-    expert_supervision: str = "rai"  # "rai" | "none"
-    mai_expert_grad: str = "detached"  # "detached" | "coupled"
+    expert_supervision: str = "rai"  # one of EXPERT_SUPERVISION
+    mai_expert_grad: str = "detached"  # one of MAI_EXPERT_GRAD
 
     def __post_init__(self):
         if self.lambda_rai < 0 or self.lambda_mai < 0 or self.kappa < 0:
             raise ValueError("lambda_rai, lambda_mai and kappa must be non-negative")
-        if self.expert_supervision not in ("rai", "none"):
+        if self.expert_supervision not in EXPERT_SUPERVISION:
             raise ValueError(f"expert_supervision must be 'rai' or 'none', got {self.expert_supervision!r}")
-        if self.mai_expert_grad not in ("detached", "coupled"):
+        if self.mai_expert_grad not in MAI_EXPERT_GRAD:
             raise ValueError(f"mai_expert_grad must be 'detached' or 'coupled', got {self.mai_expert_grad!r}")
-
-
-@dataclass
-class LossBreakdown:
-    """Per-batch forward values of every objective component."""
-
-    rai: float = 0.0
-    mai: float = 0.0
-    total: float = 0.0
-    u: dict = field(default_factory=dict)
-    d: dict = field(default_factory=dict)
-    expert_rai: dict = field(default_factory=dict)
-
-    def as_log_dict(self):
-        out = {"rai": self.rai, "mai": self.mai, "total": self.total}
-        for m, v in self.u.items():
-            out[f"u_{m}"] = v
-        for m, v in self.d.items():
-            out[f"d_{m}"] = v
-        for m, v in self.expert_rai.items():
-            out[f"expert_rai_{m}"] = v
-        return out
 
 
 def rai_loss(y: np.ndarray, s: ad.Tensor) -> ad.Tensor:
@@ -109,13 +91,15 @@ def mai_loss(s: ad.Tensor, experts: dict, d: dict, cfg: LossConfig):
 
 
 def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
-    """Full dual-ambiguity objective for one batch.
+    """Full dual-ambiguity objective for one batch: (loss node, train-log fields).
 
     total = lambda_rai * rai + lambda_mai * mai, plus a unit-weight JS pull
     of each expert toward the labels when expert_supervision = "rai" (the
     expert divergences are only informative if something trains the experts).
     A zero lambda_mai leaves the consistency term out of the total (its value
     is still logged), so the gradients reduce exactly to the rater term.
+    The fields are the forward values `rai`, `mai`, `total`, each expert's `u_<m>`
+    and `d_<m>`, then its supervision term `expert_rai_<m>` (= `d_<m>`) if any.
     """
     if student not in MODALITIES:
         raise ValueError(f"unknown student {student!r}")
@@ -124,24 +108,21 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     s = outputs[student]
     experts = {m: outputs[m] for m in MODALITIES if m != student}
     rai = {m: rai_loss(y, outputs[m]) for m in (student, *experts)}
-
-    breakdown = LossBreakdown()
-    breakdown.rai = float(rai[student].data)
     total = ad.scalar_mul(cfg.lambda_rai, rai[student])
 
-    breakdown.d = {m: float(rai[m].data) for m in experts}
-    mai_node, breakdown.u = mai_loss(s, experts, breakdown.d, cfg)
-    breakdown.mai = float(mai_node.data)
+    d = {m: float(rai[m].data) for m in experts}
+    mai_node, u = mai_loss(s, experts, d, cfg)
     if cfg.lambda_mai > 0:
         total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai_node))
 
+    fields = {"rai": float(rai[student].data), "mai": float(mai_node.data), "total": None,
+              **{f"u_{m}": w for m, w in u.items()}, **{f"d_{m}": v for m, v in d.items()}}
     if cfg.expert_supervision == "rai":
         for m in experts:
-            breakdown.expert_rai[m] = breakdown.d[m]
             total = ad.add(total, rai[m])
-
-    breakdown.total = float(total.data)
-    return total, breakdown
+            fields[f"expert_rai_{m}"] = d[m]
+    fields["total"] = float(total.data)  # the key keeps its third place
+    return total, fields
 
 
 def cbce_loss(y: np.ndarray, s: ad.Tensor, class_weights: np.ndarray) -> ad.Tensor:

@@ -23,6 +23,9 @@ MODALITIES = ("a", "t", "at")
 
 CHECKPOINT_FORMAT = "amber-ckpt-v2"
 
+# errstate of a pass checked for non-finite results right after: its abort replaces the warnings
+QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
 
 @dataclass
 class ModelConfig:
@@ -41,10 +44,6 @@ class ModelConfig:
             raise ValueError("n_classes must be >= 2")
         if self.student not in MODALITIES:
             raise ValueError(f"student must be one of {MODALITIES}, got {self.student!r}")
-
-    @property
-    def experts(self):
-        return tuple(m for m in MODALITIES if m != self.student)
 
     def head_input_dim(self, modality):
         return {"a": self.dim_a, "t": self.dim_t, "at": self.fusion_dim}[modality]
@@ -147,9 +146,10 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
     """
     tensors = wrap_params(params, requires_grad=False)
     h = {"a": ad.constant(h_a), "t": ad.constant(h_t)}
-    if cfg.student == "at":
-        h["at"] = fuse(tensors, h["a"], h["t"])
-    rows = head_forward(tensors, cfg.student, h[cfg.student]).data
+    with np.errstate(**QUIET_OVERFLOW):
+        if cfg.student == "at":
+            h["at"] = fuse(tensors, h["a"], h["t"])
+        rows = head_forward(tensors, cfg.student, h[cfg.student]).data
     if not np.all(np.isfinite(rows)):
         raise NumericalAbortError(f"non-finite output of head {cfg.student!r}")
     return {cfg.student: rows}

@@ -22,7 +22,7 @@ from . import evalreport
 from .dataio import Dataset, fold_split
 from .errors import NumericalAbortError, WorkerDiedError
 from .losses import LossConfig, amber_loss, cbce_loss, class_weights_from
-from .model import ModelConfig, forward_all, init_params, predict, wrap_params
+from .model import QUIET_OVERFLOW, ModelConfig, forward_all, init_params, predict, wrap_params
 
 OBJECTIVES = ("amber", "cbce")
 
@@ -120,13 +120,10 @@ def opt_step(params: dict, grads: dict, state: OptState, cfg: TrainConfig):
 
 @dataclass
 class RunRecord:
-    fold: int
-    seed: int
+    """One run's epoch log, test report (fold, seed, selected epoch) and selected parameters."""
+
     epochs: list
-    selected_epoch: int
     report: "evalreport.EvalReport"
-    test_preds: np.ndarray
-    test_targets: np.ndarray
     selected_params: dict
 
 
@@ -137,19 +134,19 @@ def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
     return, before the next batch's forward starts.
     """
     tensors = wrap_params(params)
-    outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model)
-    for m, out in outputs.items():
-        if not np.all(np.isfinite(out.data)):
-            raise NumericalAbortError(f"non-finite output of head {m!r}")
-    if cfg.objective == "amber":
-        total, breakdown = amber_loss(y, outputs, cfg.loss, cfg.model.student)
-        fields = breakdown.as_log_dict()
-    else:
-        total = cbce_loss(y, outputs[cfg.model.student], class_weights)
-        fields = {"cbce": float(total.data), "total": float(total.data)}
-    if not np.isfinite(total.data):
-        raise NumericalAbortError("non-finite training loss")
-    ad.backward(total)
+    with np.errstate(**QUIET_OVERFLOW):
+        outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model)
+        for m, out in outputs.items():
+            if not np.all(np.isfinite(out.data)):
+                raise NumericalAbortError(f"non-finite output of head {m!r}")
+        if cfg.objective == "amber":
+            total, fields = amber_loss(y, outputs, cfg.loss, cfg.model.student)
+        else:
+            total = cbce_loss(y, outputs[cfg.model.student], class_weights)
+            fields = {"cbce": float(total.data), "total": float(total.data)}
+        if not np.isfinite(total.data):
+            raise NumericalAbortError("non-finite training loss")
+        ad.backward(total)
     opt_step(params, {name: t.grad for name, t in tensors.items()}, state, cfg)
     return fields
 
@@ -162,9 +159,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
     train, val, test = fold_split(ds, fold)
     student = cfg.model.student
 
-    class_weights = None
-    if cfg.objective == "cbce":
-        class_weights = class_weights_from(train)
+    class_weights = class_weights_from(train) if cfg.objective == "cbce" else None
 
     ha_tr, ht_tr, y_tr = train.matrices()
     ha_val, ht_val, y_val = val.matrices()
@@ -208,26 +203,15 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
             best_params = dict(params)  # opt_step replaces these arrays, never writes them
 
     test_preds = predict(best_params, cfg.model, ha_te, ht_te)[student]
-    metrics = evalreport.all_metrics(test_preds, y_te)
-    bins = evalreport.ambiguity_bins(test_preds, y_te, cfg.n_bins)
     report = evalreport.EvalReport(
         system=cfg.objective,
         fold=fold,
         seed=seed,
-        metrics=metrics,
-        bins=bins,
+        metrics=evalreport.all_metrics(test_preds, y_te),
+        bins=evalreport.ambiguity_bins(test_preds, y_te, cfg.n_bins),
         provenance={"selected_epoch": best_epoch},
     )
-    return RunRecord(
-        fold=fold,
-        seed=seed,
-        epochs=epochs_log,
-        selected_epoch=best_epoch,
-        report=report,
-        test_preds=test_preds,
-        test_targets=y_te,
-        selected_params=best_params,
-    )
+    return RunRecord(epochs=epochs_log, report=report, selected_params=best_params)
 
 
 def _run_cell(args):

@@ -21,7 +21,7 @@ from amber import autodiff as ad
 from amber.dataio import SCHEMA, Y_CROSSCHECK_TOL, Dataset, _soft_labels
 from amber.errors import DataValidationError
 from amber.losses import LossConfig, amber_loss
-from amber.model import ModelConfig, forward_all, init_params, wrap_params
+from amber.model import MODALITIES, ModelConfig, forward_all, init_params, wrap_params
 
 
 RELU_KINK_MARGIN = 1e-2
@@ -156,11 +156,15 @@ def micro_model(seed, batch=3, n_classes=3):
 def production_amber_grads(cfg, params, h_a, h_t, y, loss_cfg):
     tensors = wrap_params(params)
     outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg)
-    total, breakdown = amber_loss(y, outputs, loss_cfg, cfg.student)
+    total, fields = amber_loss(y, outputs, loss_cfg, cfg.student)
     ad.backward(total)
     grads = {k: t.grad.copy() for k, t in tensors.items()}
-    p_star = {m: outputs[m].data.copy() for m in cfg.experts}
-    return float(total.data), grads, breakdown, p_star
+    p_star = {m: outputs[m].data.copy() for m in _experts(cfg)}
+    return float(total.data), grads, fields, p_star
+
+
+def _experts(cfg):
+    return [m for m in MODALITIES if m != cfg.student]
 
 
 def frozen_amber_fn(cfg, param_names, h_a, h_t, y, loss_cfg, u_star, p_star):
@@ -178,14 +182,14 @@ def frozen_amber_fn(cfg, param_names, h_a, h_t, y, loss_cfg, u_star, p_star):
         total = ad.scalar_mul(loss_cfg.lambda_rai, ad.js_loss_node(ad.constant(y), s))
         if loss_cfg.lambda_mai > 0:
             mai = None
-            for m in cfg.experts:
+            for m in _experts(cfg):
                 q = ad.constant(p_star[m]) if detached else outputs[m]
                 term = ad.scalar_mul(u_star[m], ad.js_loss_node(s, q))
                 mai = term if mai is None else ad.add(mai, term)
             total = ad.add(total, ad.scalar_mul(loss_cfg.lambda_mai, mai))
         if loss_cfg.expert_supervision == "rai":
             y_const = ad.constant(y)
-            for m in cfg.experts:
+            for m in _experts(cfg):
                 total = ad.add(total, ad.js_loss_node(y_const, outputs[m]))
         return total
 
@@ -196,11 +200,12 @@ def full_amber_grad_check(seed, loss_cfg=None, h=1e-4, tol=1e-4):
     """(bitwise_match, GradCheckResult) for one random micro-model."""
     loss_cfg = loss_cfg or LossConfig()
     cfg, params, h_a, h_t, y = micro_model(seed)
-    _, prod_grads, breakdown, p_star = production_amber_grads(cfg, params, h_a, h_t, y, loss_cfg)
+    _, prod_grads, fields, p_star = production_amber_grads(cfg, params, h_a, h_t, y, loss_cfg)
+    u_star = {m: fields[f"u_{m}"] for m in _experts(cfg)}
 
     names = list(params)
     inputs = [ad.Tensor(params[k], requires_grad=True) for k in names]
-    f = frozen_amber_fn(cfg, names, h_a, h_t, y, loss_cfg, breakdown.u, p_star)
+    f = frozen_amber_fn(cfg, names, h_a, h_t, y, loss_cfg, u_star, p_star)
     out = f(*inputs)
     ad.backward(out)
     bitwise = all(np.array_equal(prod_grads[k], t.grad) for k, t in zip(names, inputs))

@@ -16,17 +16,17 @@ import pytest
 
 from amber import autodiff as ad
 from amber.cli import main as cli_main
-from amber.dataio import SynthConfig, generate_synthetic
+from amber.dataio import SynthConfig, fold_split, generate_synthetic
 from amber.distlib import bhattacharyya_rows, entropy_bits_rows, js_divergence_rows
-from amber.evalreport import aggregate, ambiguity_bins, cls_metrics
+from amber.evalreport import aggregate, ambiguity_bins
 from amber.losses import LossConfig, cbce_loss, expert_weights
-from amber.model import ModelConfig
+from amber.model import ModelConfig, predict
 from amber.trainer import TrainConfig, cross_validate
 
 from helpers import full_amber_grad_check, grad_check
 from test_autodiff import OP_NAMES, _op_case
 from test_distlib import ENTROPY_06_04, JS_HALF_VS_POINT, JS_ONEHOT_VS_UNIFORM4, soft_labels
-from test_evalreport import _brute_force_cls, _one_hot
+from test_evalreport import _brute_force_cls, _classification_metrics, _one_hot
 
 # Pinned direction-of-effect configuration: 2000 samples, 4 classes, 16/16
 # feature dims, 10 raters, alpha 0.7, conflict rate 0.3, noise 0.5,
@@ -160,7 +160,7 @@ def test_criterion_5_direction_of_effect(effect_runs):
     def per_seed_mean(records, metric):
         by_seed = {}
         for r in records:
-            by_seed.setdefault(r.seed, []).append(r.report.metrics[metric])
+            by_seed.setdefault(r.report.seed, []).append(r.report.metrics[metric])
         return {s: float(np.mean(v)) for s, v in by_seed.items()}
 
     js_amber = per_seed_mean(effect_runs["amber"]["records"], "JS")
@@ -186,9 +186,15 @@ def test_criterion_5_direction_of_effect(effect_runs):
 
 
 def test_criterion_6_ambiguity_trend(effect_runs):
-    records = effect_runs["cbce"]["records"]
-    preds = np.concatenate([r.test_preds for r in records])
-    targets = np.concatenate([r.test_targets for r in records])
+    # each run's test predictions, made again from its selected parameters
+    ds = generate_synthetic(SYNTH)
+    model_cfg = ModelConfig(dim_a=SYNTH.dim_a, dim_t=SYNTH.dim_t, n_classes=SYNTH.n_classes)
+    preds, targets = [], []
+    for r in effect_runs["cbce"]["records"]:
+        h_a, h_t, y = fold_split(ds, r.report.fold)[2].matrices()
+        preds.append(predict(r.selected_params, model_cfg, h_a, h_t)[model_cfg.student])
+        targets.append(y)
+    preds, targets = np.concatenate(preds), np.concatenate(targets)
     rows = ambiguity_bins(preds, targets, 4)
     assert all(r["count"] > 0 for r in rows)
     for metric in ("ACC", "WF1"):
@@ -258,13 +264,13 @@ def test_criterion_9_classification_metric_oracle():
         n = int(rng.integers(1, 40))
         t_hat = rng.integers(0, c, size=n)
         p_hat = rng.integers(0, c, size=n)
-        got = cls_metrics(_one_hot(p_hat, c), _one_hot(t_hat, c))
+        got = _classification_metrics(_one_hot(p_hat, c), _one_hot(t_hat, c))
         want = _brute_force_cls(p_hat, t_hat, c)
         assert got == want
 
     targets = _one_hot([0, 0, 1, 1], 2)
     preds = _one_hot([0, 1, 1, 1], 2)
-    m = cls_metrics(preds, targets)
+    m = _classification_metrics(preds, targets)
     assert abs(m["ACC"] - 0.75) <= 1e-9
     assert abs(m["F1_macro"] - (2 / 3 + 4 / 5) / 2) <= 1e-9
     assert abs(m["WF1"] - (2 / 3 + 4 / 5) / 2) <= 1e-9

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -29,6 +31,8 @@ from amber.evalreport import (
 )
 from amber.model import ModelConfig, init_params, save_checkpoint
 from amber.trainer import TrainConfig
+
+SRC = Path(trainer.__file__).resolve().parents[1]
 
 
 def _gen_args(out, samples=40, folds=4, **overrides):
@@ -441,18 +445,37 @@ def test_overflowing_forward_pass_in_train_exits_3(dataset, tmp_path, capsys, ba
     assert err.startswith("amber: numerical abort: ") and err.endswith(f"{where}\n"), err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_forward_pass_in_eval_exits_3(dataset, tmp_path, capsys):
+def _overflowing_checkpoint(path):
+    """A checkpoint for `dataset` whose parameters overflow the forward pass."""
     cfg = ModelConfig(dim_a=4, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
     params = {name: np.full_like(value, 1e307) for name, value in init_params(cfg, 0).items()}
-    ckpt = tmp_path / "ckpt.json"
-    save_checkpoint(ckpt, cfg, params, {"system": "amber", "fold": 0, "seed": 0})
+    save_checkpoint(path, cfg, params, {"system": "amber", "fold": 0, "seed": 0})
+    return path
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_forward_pass_in_eval_exits_3(dataset, tmp_path, capsys):
+    ckpt = _overflowing_checkpoint(tmp_path / "ckpt.json")
     out = tmp_path / "ev"
     code = main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 3, err
     assert err.startswith("amber: numerical abort: ") and err.count("\n") == 1, err
     assert not (out / "eval-report.json").exists()
+
+
+@pytest.mark.parametrize("command, jobs", [("train", 1), ("train", 2), ("eval", None)])
+def test_a_numerical_abort_prints_one_stderr_line(dataset, tmp_path, command, jobs):
+    # a fresh interpreter with warnings shown, so numpy's RuntimeWarnings would reach stderr
+    if command == "eval":
+        ckpt = _overflowing_checkpoint(tmp_path / "ckpt.json")
+        args = ["eval", "--checkpoint", ckpt, "--data", dataset, "--out-dir", tmp_path / "ev"]
+    else:
+        args = _train_args(dataset, tmp_path / "boom", **{"--lr": "1e308", "--jobs": jobs})
+    proc = subprocess.run([sys.executable, "-m", "amber.cli", *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"}, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("amber: numerical abort: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def _exit_in_worker(cell):
@@ -526,7 +549,10 @@ def _report_mutant(draw):
     blob = json.loads(_REPORT_TEXT)
     depth = draw(st.sampled_from([2, 50, 100_000]))
     for _ in range(draw(st.integers(1, 3))):
-        *parents, last = draw(st.sampled_from(list(_json_paths(blob))))
+        paths = list(_json_paths(blob))
+        if not paths:  # every key is gone; `{}` is a mutant too
+            break
+        *parents, last = draw(st.sampled_from(paths))
         node = blob
         for key in parents:
             node = node[key]

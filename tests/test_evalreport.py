@@ -13,7 +13,6 @@ from amber.evalreport import (
     ambiguity_bins,
     assign_bin,
     bin_edges,
-    cls_metrics,
     dist_metrics,
     emit_report,
     load_report,
@@ -95,16 +94,22 @@ def test_dist_metrics_equal_mean_of_per_sample_divergences():
         assert m["BC"] == float(np.mean([bhattacharyya_rows(p, y)[0] for p, y in pairs]))
 
 
+def _classification_metrics(preds, targets):
+    """The classification part of `all_metrics`: macro-F1, weighted F1, accuracy."""
+    m = all_metrics(preds, targets)
+    return {key: m[key] for key in ("F1_macro", "WF1", "ACC")}
+
+
 def test_cls_metrics_perfect():
     y = _one_hot([0, 1, 2, 1], 3)
-    m = cls_metrics(y, y)
+    m = _classification_metrics(y, y)
     assert m == {"F1_macro": 1.0, "WF1": 1.0, "ACC": 1.0}
 
 
 def test_cls_metrics_fixture():
     targets = _one_hot([0, 0, 1, 1], 2)
     preds = _one_hot([0, 1, 1, 1], 2)
-    m = cls_metrics(preds, targets)
+    m = _classification_metrics(preds, targets)
     assert abs(m["ACC"] - 0.75) <= 1e-12
     assert abs(m["F1_macro"] - (2 / 3 + 4 / 5) / 2) <= 1e-9
     assert abs(m["WF1"] - (2 / 3 + 4 / 5) / 2) <= 1e-9
@@ -115,7 +120,7 @@ def test_cls_metrics_absent_class_convention():
     # average, zero weight in the weighted one
     targets = _one_hot([0, 1, 0, 1], 3)
     preds = _one_hot([0, 1, 0, 1], 3)
-    m = cls_metrics(preds, targets)
+    m = _classification_metrics(preds, targets)
     assert abs(m["F1_macro"] - 2 / 3) <= 1e-12
     assert m["WF1"] == 1.0 and m["ACC"] == 1.0
 
@@ -146,7 +151,7 @@ def test_cls_metrics_match_brute_force_oracle_exactly():
         n = int(rng.integers(1, 40))
         t_hat = rng.integers(0, c, size=n)
         p_hat = rng.integers(0, c, size=n)
-        got = cls_metrics(_one_hot(p_hat, c), _one_hot(t_hat, c))
+        got = _classification_metrics(_one_hot(p_hat, c), _one_hot(t_hat, c))
         want = _brute_force_cls(p_hat, t_hat, c)
         assert got == want
 
@@ -154,7 +159,7 @@ def test_cls_metrics_match_brute_force_oracle_exactly():
 def test_argmax_tie_breaks_to_lowest_class():
     targets = np.asarray([[0.5, 0.5]])
     preds = np.asarray([[0.5, 0.5]])
-    m = cls_metrics(preds, targets)
+    m = _classification_metrics(preds, targets)
     assert m["ACC"] == 1.0  # both argmax to class 0
 
 

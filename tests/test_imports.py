@@ -23,11 +23,11 @@ TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # name -> the submodule that defines it, in the order of `amber.__all__`
 EXPORTS = {
     "DataValidationError": "errors", "Dataset": "dataio", "EvalReport": "evalreport",
-    "LossBreakdown": "losses", "LossConfig": "losses", "ModelConfig": "model",
+    "LossConfig": "losses", "ModelConfig": "model",
     "NumericalAbortError": "errors", "OptState": "trainer", "RunRecord": "trainer", "SoftLabel": "distlib",
     "SynthConfig": "dataio", "TrainConfig": "trainer", "all_metrics": "evalreport", "amber_loss": "losses",
     "ambiguity_bins": "evalreport", "autodiff": None, "cbce_loss": "losses", "class_weights_from": "losses",
-    "cls_metrics": "evalreport", "cross_validate": "trainer", "dataio": None, "dist_metrics": "evalreport",
+    "cross_validate": "trainer", "dataio": None, "dist_metrics": "evalreport",
     "distlib": None, "emit_report": "evalreport", "errors": None, "evalreport": None,
     "expert_weights": "losses", "fold_split": "dataio", "forward_all": "model", "fuse": "model",
     "generate_synthetic": "dataio", "head_forward": "model", "init_opt_state": "trainer",
@@ -95,7 +95,7 @@ def test_train_at_one_job_never_imports_the_process_pool(dataset, tmp_path):
 
 def test_all_keeps_its_names_and_each_is_its_modules_own_object():
     assert amber.__all__ == list(EXPORTS)
-    assert len(amber.__all__) == 43 and sum(module is None for module in EXPORTS.values()) == 8
+    assert len(amber.__all__) == 41 and sum(module is None for module in EXPORTS.values()) == 8
     for name, module in EXPORTS.items():
         home = importlib.import_module(f"amber.{module or name}")
         assert getattr(amber, name) is (home if module is None else vars(home)[name]), name

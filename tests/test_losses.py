@@ -154,17 +154,21 @@ def test_amber_loss_makes_one_js_pass_per_head_pair(monkeypatch, supervision):
 
     monkeypatch.setattr(distlib, "js_divergence_rows", counted)
     cfg, tensors, outputs, y = _micro_outputs(seed=11)
-    _, breakdown = amber_loss(y, outputs, LossConfig(expert_supervision=supervision), "at")
+    _, fields = amber_loss(y, outputs, LossConfig(expert_supervision=supervision), "at")
     assert len(calls) == 5
+    # the train log's keys, in its order
+    supervised = ["expert_rai_a", "expert_rai_t"] if supervision == "rai" else []
+    assert list(fields) == ["rai", "mai", "total", "u_a", "u_t", "d_a", "d_t", *supervised]
     # the same bits as JS taken with the expert first, so train logs keep their bytes
-    assert breakdown.d == {m: float(real(outputs[m].data, y).mean()) for m in ("a", "t")}
-    assert breakdown.expert_rai == (breakdown.d if supervision == "rai" else {})
+    for m in ("a", "t"):
+        assert fields[f"d_{m}"] == float(real(outputs[m].data, y).mean())
+        assert fields.get(f"expert_rai_{m}", fields[f"d_{m}"]) == fields[f"d_{m}"]
 
 
 def test_amber_reduces_to_rai_when_mai_and_supervision_off():
     cfg, tensors, outputs, y = _micro_outputs(seed=7)
     loss_cfg = LossConfig(lambda_rai=1.0, lambda_mai=0.0, expert_supervision="none")
-    total, breakdown = amber_loss(y, outputs, loss_cfg, "at")
+    total, _ = amber_loss(y, outputs, loss_cfg, "at")
     direct = ad.scalar_mul(1.0, rai_loss(y, outputs["at"]))
     assert float(total.data) == float(direct.data)
 
@@ -180,9 +184,9 @@ def test_amber_reduces_to_rai_when_mai_and_supervision_off():
 def test_amber_zero_when_every_head_predicts_labels():
     y = np.asarray([[0.5, 0.3, 0.2], [0.25, 0.5, 0.25]])
     outputs = {m: ad.Tensor(y.copy(), requires_grad=True) for m in ("a", "t", "at")}
-    total, breakdown = amber_loss(y, outputs, LossConfig(), "at")
+    total, fields = amber_loss(y, outputs, LossConfig(), "at")
     assert float(total.data) == 0.0
-    assert breakdown.rai == 0.0 and breakdown.mai == 0.0
+    assert fields["rai"] == 0.0 and fields["mai"] == 0.0
 
 
 def test_amber_breakdown_composition():
@@ -190,14 +194,15 @@ def test_amber_breakdown_composition():
     loss_cfg = LossConfig(lambda_rai=1.0, lambda_mai=0.5, kappa=4.0)
     total, b = amber_loss(y, outputs, loss_cfg, "at")
     recomposed = (
-        loss_cfg.lambda_rai * b.rai
-        + loss_cfg.lambda_mai * b.mai
-        + sum(b.expert_rai.values())
+        loss_cfg.lambda_rai * b["rai"]
+        + loss_cfg.lambda_mai * b["mai"]
+        + b["expert_rai_a"] + b["expert_rai_t"]
     )
-    assert abs(b.total - recomposed) <= 1e-9
-    assert abs(sum(b.u.values()) - 1.0) <= 1e-9
-    assert all(v >= 0 for v in b.u.values())
-    assert b.total >= 0
+    assert b["total"] == float(total.data)
+    assert abs(b["total"] - recomposed) <= 1e-9
+    assert abs(b["u_a"] + b["u_t"] - 1.0) <= 1e-9
+    assert b["u_a"] >= 0 and b["u_t"] >= 0
+    assert b["total"] >= 0
 
 
 def test_amber_full_gradient_check_micro_model():

@@ -127,17 +127,6 @@ def test_fuse_swap_symmetry():
     assert np.max(np.abs(out.data - out_swapped.data)) <= 1e-12
 
 
-def test_forward_all_roles():
-    cfg = ModelConfig(dim_a=2, dim_t=2, n_classes=3, hidden=3, fusion_dim=3)
-    assert cfg.student == "at"
-    assert cfg.experts == ("a", "t")
-    cfg_a = ModelConfig(dim_a=2, dim_t=2, n_classes=3, student="a")
-    assert cfg_a.experts == ("t", "at")
-    for student in MODALITIES:
-        c = ModelConfig(dim_a=2, dim_t=2, n_classes=3, student=student)
-        assert len(c.experts) == 2 and student not in c.experts
-
-
 def test_forward_all_zero_params_uniform():
     cfg = ModelConfig(dim_a=2, dim_t=3, n_classes=4, hidden=3, fusion_dim=2)
     tensors = wrap_params(_zeros_params(cfg), requires_grad=False)

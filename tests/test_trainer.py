@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from amber import autodiff as ad
-from amber import losses as losses_mod
 from amber import trainer as trainer_mod
 from amber.dataio import SynthConfig, generate_synthetic
 from amber.errors import NumericalAbortError
@@ -130,7 +129,7 @@ def test_train_one_is_bit_identical():
     cfg = TrainConfig(model=_model_cfg(), epochs=4, batch=64)
     a = train_one(ds, 0, 3, cfg)
     b = train_one(ds, 0, 3, cfg)
-    assert a.selected_epoch == b.selected_epoch
+    assert a.report.provenance == b.report.provenance
     assert a.epochs == b.epochs
     assert a.report.metrics == b.report.metrics
     for name in a.selected_params:
@@ -158,7 +157,7 @@ def test_selected_epoch_is_earliest_validation_js_minimum():
     rec = train_one(ds, 1, 0, cfg)
     vals = [e["val"]["JS"] for e in rec.epochs]
     best = min(vals)
-    assert rec.selected_epoch == vals.index(best) + 1
+    assert rec.report.provenance == {"selected_epoch": vals.index(best) + 1}
 
 
 def test_amber_with_mai_off_matches_pure_rai_trajectory_bitwise(monkeypatch):
@@ -173,8 +172,7 @@ def test_amber_with_mai_off_matches_pure_rai_trajectory_bitwise(monkeypatch):
 
     def rai_only(y, outputs, loss_cfg, student):
         node = ad.scalar_mul(loss_cfg.lambda_rai, rai_loss(y, outputs[student]))
-        breakdown = losses_mod.LossBreakdown(rai=float(node.data), total=float(node.data))
-        return node, breakdown
+        return node, {"rai": float(node.data), "total": float(node.data)}
 
     monkeypatch.setattr(trainer_mod, "amber_loss", rai_only)
     pure = train_one(ds, 0, 2, cfg)
@@ -201,7 +199,7 @@ def test_cross_validate_shape_and_aggregate():
     records = cross_validate(ds, cfg)
     agg = aggregate([r.report for r in records])
     assert len(records) == ds.fold_count * 2
-    assert [(r.fold, r.seed) for r in records] == [
+    assert [(r.report.fold, r.report.seed) for r in records] == [
         (f, s) for f in range(ds.fold_count) for s in (0, 1)
     ]
     hand = np.mean([r.report.metrics["JS"] for r in records])
@@ -214,7 +212,7 @@ def test_duplicate_seeds_have_zero_std():
     records = cross_validate(ds, cfg)
     per_fold = {}
     for r in records:
-        per_fold.setdefault(r.fold, []).append(r.report.metrics["JS"])
+        per_fold.setdefault(r.report.fold, []).append(r.report.metrics["JS"])
     for fold, values in per_fold.items():
         assert values[0] == values[1]
 
@@ -226,7 +224,7 @@ def test_parallel_and_serial_cross_validation_agree():
     par_records = cross_validate(ds, cfg, jobs=2)
     assert aggregate([r.report for r in serial_records]) == aggregate([r.report for r in par_records])
     for a, b in zip(serial_records, par_records):
-        assert (a.fold, a.seed) == (b.fold, b.seed)
+        assert (a.report.fold, a.report.seed) == (b.report.fold, b.report.seed)
         assert a.report.metrics == b.report.metrics
         for name in a.selected_params:
             assert np.array_equal(a.selected_params[name], b.selected_params[name])
