@@ -25,6 +25,7 @@ from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, sav
 from .errors import DataValidationError, NumericalAbortError, WorkerDiedError
 from .losses import EXPERT_SUPERVISION, MAI_EXPERT_GRAD, LossConfig
 from .model import ModelConfig
+from .trainer import TrainConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -48,58 +49,68 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# key -> (type, default, choices, help); the flag is the key with "-" for "_".
-# Defaults come from the config dataclasses. Row order is the manifest's order.
-TRAIN_OPTIONS = {
-    "objective": (str, trainer.TrainConfig.objective, trainer.OBJECTIVES, None),
-    "student": (str, ModelConfig.student, model.MODALITIES, None),
-    "lambda_rai": (float, LossConfig.lambda_rai, None, None),
-    "lambda_mai": (float, LossConfig.lambda_mai, None, None),
-    "kappa": (float, LossConfig.kappa, None, None),
-    "expert_supervision": (str, LossConfig.expert_supervision, EXPERT_SUPERVISION, None),
-    "mai_grad": (str, LossConfig.mai_expert_grad, MAI_EXPERT_GRAD, None),
-    "hidden": (int, ModelConfig.hidden, None, None),
-    "fusion_dim": (int, ModelConfig.fusion_dim, None, None),
-    "lr": (float, trainer.TrainConfig.lr, None, None),
-    "weight_decay": (float, trainer.TrainConfig.weight_decay, None, None),
-    "batch": (int, trainer.TrainConfig.batch, None, None),
-    "epochs": (int, trainer.TrainConfig.epochs, None, None),
-    "seeds": (int, len(trainer.TrainConfig.seeds), None, "number of seeds (0..N-1)"),
-    "folds": (int, None, None, "re-partition into this many folds"),
-    "bins": (int, trainer.TrainConfig.n_bins, None, "entropy bins in reports"),
-    "jobs": (int, 1, None, "parallel (fold, seed) workers"),
+# key -> (SynthConfig field, type); the flag is the key with "-" for "_". The
+# field's default is the flag's; a field without one is a required flag.
+GEN_OPTIONS = {
+    "samples": ("n_samples", int),
+    "classes": ("n_classes", int),
+    "dim_a": ("dim_a", int),
+    "dim_t": ("dim_t", int),
+    "raters": ("n_raters", int),
+    "alpha": ("ambiguity_alpha", float),
+    "conflict": ("conflict_rate", float),
+    "noise": ("noise_sigma", float),
+    "seed": ("seed", int),
+    "folds": ("fold_count", int),
 }
+
+# key -> (config class, field, type, choices, help); the flag is the key with "-" for "_", the
+# default is the field's dataclass default (seeds, folds and jobs set no field). Rows are in manifest order.
+TRAIN_OPTIONS = {
+    "objective": (TrainConfig, "objective", str, trainer.OBJECTIVES, None),
+    "student": (ModelConfig, "student", str, model.MODALITIES, None),
+    "lambda_rai": (LossConfig, "lambda_rai", float, None, None),
+    "lambda_mai": (LossConfig, "lambda_mai", float, None, None),
+    "kappa": (LossConfig, "kappa", float, None, None),
+    "expert_supervision": (LossConfig, "expert_supervision", str, EXPERT_SUPERVISION, None),
+    "mai_grad": (LossConfig, "mai_expert_grad", str, MAI_EXPERT_GRAD, None),
+    "hidden": (ModelConfig, "hidden", int, None, None),
+    "fusion_dim": (ModelConfig, "fusion_dim", int, None, None),
+    "lr": (TrainConfig, "lr", float, None, None),
+    "weight_decay": (TrainConfig, "weight_decay", float, None, None),
+    "batch": (TrainConfig, "batch", int, None, None),
+    "epochs": (TrainConfig, "epochs", int, None, None),
+    "seeds": (None, None, int, None, "number of seeds (0..N-1)"),
+    "folds": (None, None, int, None, "re-partition into this many folds"),
+    "bins": (TrainConfig, "n_bins", int, None, "entropy bins in reports"),
+    "jobs": (None, None, int, None, "parallel (fold, seed) workers"),
+}
+TRAIN_DEFAULTS = {key: getattr(cls, name) for key, (cls, name, *_) in TRAIN_OPTIONS.items() if cls}
+TRAIN_DEFAULTS.update(seeds=len(TrainConfig.seeds), folds=None, jobs=1)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="amber", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", parents=[], help="generate a synthetic dataset")
-    gen.add_argument("--samples", type=int, required=True)
-    gen.add_argument("--classes", type=int, required=True)
-    gen.add_argument("--dim-a", type=int, default=16)
-    gen.add_argument("--dim-t", type=int, default=16)
-    gen.add_argument("--raters", type=int, default=10)
-    gen.add_argument("--alpha", type=float, default=0.7)
-    gen.add_argument("--conflict", type=float, default=0.3)
-    gen.add_argument("--noise", type=float, default=0.5)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--folds", type=int, default=5)
+    gen = sub.add_parser("gen", help="generate a synthetic dataset")
+    for key, (name, typ) in GEN_OPTIONS.items():
+        default = getattr(SynthConfig, name, None)
+        gen.add_argument("--" + key.replace("_", "-"), type=typ, default=default, required=default is None)
     gen.add_argument("--out", required=True)
 
     train = sub.add_parser("train", help="cross-validated training + evaluation")
     train.add_argument("--data", required=True)
     train.add_argument("--config", help="JSON config file or a previous manifest")
     train.add_argument("--out-dir", required=True)
-    for key, (typ, _, choices, help_) in TRAIN_OPTIONS.items():
+    for key, (_, _, typ, choices, help_) in TRAIN_OPTIONS.items():
         train.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, choices=choices, help=help_)
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", choices=("train", "val", "test", "all"), default="test")
-    ev.add_argument("--bins", type=int, default=4)
+    ev.add_argument("--bins", type=int, default=TrainConfig.n_bins)
     ev.add_argument("--out-dir", required=True)
 
     cmp_ = sub.add_parser("compare", help="side-by-side aggregate of two report files")
@@ -169,15 +180,13 @@ def _typed(key, value, typ, parser):
 
 def _resolve_train_config(ns, parser):
     file_cfg = _load_config_file(ns.config) if ns.config else {}
-    unknown = set(file_cfg) - set(TRAIN_OPTIONS) - {"data"}
+    unknown = set(file_cfg) - set(TRAIN_OPTIONS)
     if unknown:
         parser.error(f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, (typ, default, _, _) in TRAIN_OPTIONS.items():
-        value = getattr(ns, key)
-        if value is None:
-            value = file_cfg.get(key, default)
-        resolved[key] = None if key == "folds" and value is None else _typed(key, value, typ, parser)
+    flags = {key: value for key, value in vars(ns).items() if key in TRAIN_OPTIONS and value is not None}
+    values = {**TRAIN_DEFAULTS, **file_cfg, **flags}
+    resolved = {key: None if key == "folds" and values[key] is None else _typed(key, values[key], typ, parser)
+                for key, (_, _, typ, _, _) in TRAIN_OPTIONS.items()}
     if not 1 <= resolved["seeds"] <= MAX_SEEDS:
         parser.error(f"--seeds must lie in [1, {MAX_SEEDS}]")
     if resolved["jobs"] < 1:
@@ -187,33 +196,15 @@ def _resolve_train_config(ns, parser):
     return resolved
 
 
-def _train_config(resolved, ds, parser) -> trainer.TrainConfig:
+def _train_config(resolved, ds, parser) -> TrainConfig:
+    kwargs = {cls: {name: resolved[key] for key, (owner, name, *_) in TRAIN_OPTIONS.items() if owner is cls}
+              for cls in (TrainConfig, ModelConfig, LossConfig)}
     try:
-        model_cfg = ModelConfig(
-            dim_a=ds.dim_a,
-            dim_t=ds.dim_t,
-            n_classes=ds.n_classes,
-            hidden=resolved["hidden"],
-            fusion_dim=resolved["fusion_dim"],
-            student=resolved["student"],
-        )
-        loss_cfg = LossConfig(
-            lambda_rai=resolved["lambda_rai"],
-            lambda_mai=resolved["lambda_mai"],
-            kappa=resolved["kappa"],
-            expert_supervision=resolved["expert_supervision"],
-            mai_expert_grad=resolved["mai_grad"],
-        )
-        cfg = trainer.TrainConfig(
-            model=model_cfg,
-            loss=loss_cfg,
-            objective=resolved["objective"],
-            lr=resolved["lr"],
-            weight_decay=resolved["weight_decay"],
-            batch=resolved["batch"],
-            epochs=resolved["epochs"],
+        cfg = TrainConfig(
+            model=ModelConfig(dim_a=ds.dim_a, dim_t=ds.dim_t, n_classes=ds.n_classes, **kwargs[ModelConfig]),
+            loss=LossConfig(**kwargs[LossConfig]),
             seeds=tuple(range(resolved["seeds"])),
-            n_bins=resolved["bins"],
+            **kwargs[TrainConfig],
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -230,18 +221,7 @@ def _train_config(resolved, ds, parser) -> trainer.TrainConfig:
 
 def cmd_gen(ns, parser):
     try:
-        cfg = SynthConfig(
-            n_samples=ns.samples,
-            n_classes=ns.classes,
-            dim_a=ns.dim_a,
-            dim_t=ns.dim_t,
-            n_raters=ns.raters,
-            ambiguity_alpha=ns.alpha,
-            conflict_rate=ns.conflict,
-            noise_sigma=ns.noise,
-            seed=ns.seed,
-            fold_count=ns.folds,
-        )
+        cfg = SynthConfig(**{name: getattr(ns, key) for key, (name, _) in GEN_OPTIONS.items()})
         ds = generate_synthetic(cfg)
     except ValueError as exc:
         parser.error(str(exc))

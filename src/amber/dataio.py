@@ -102,13 +102,13 @@ class Dataset:
 class SynthConfig:
     n_samples: int
     n_classes: int
-    dim_a: int
-    dim_t: int
-    n_raters: int
-    ambiguity_alpha: float
-    conflict_rate: float
-    noise_sigma: float
-    seed: int
+    dim_a: int = 16
+    dim_t: int = 16
+    n_raters: int = 10
+    ambiguity_alpha: float = 0.7
+    conflict_rate: float = 0.3
+    noise_sigma: float = 0.5
+    seed: int = 0
     fold_count: int = 5
 
     def __post_init__(self):

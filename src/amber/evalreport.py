@@ -131,7 +131,7 @@ def assign_bin(entropy, edges: np.ndarray):
     return np.maximum(np.searchsorted(edges, h, side="left") - 1, 0)
 
 
-def ambiguity_bins(preds, targets, n_bins: int = 4) -> list:
+def ambiguity_bins(preds, targets, n_bins: int) -> list:
     """Per-bin metric rows stratified by target-label entropy (in bits)."""
     if n_bins < 2:
         raise ValueError("need at least 2 ambiguity bins")
@@ -282,16 +282,23 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
+def _check_keys(blob, known, what):
+    unknown = set(blob) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+
+
 def _check_metric_cells(metrics):
     if not isinstance(metrics, dict):
         raise TypeError("'metrics' must be an object")
+    _check_keys(metrics, METRIC_ORDER, "metric names")
     for name, cell in metrics.items():
         if not (isinstance(cell, dict) and _is_number(cell.get("mean")) and _is_number(cell.get("std"))):
             raise TypeError(f"metric {name!r} needs a number 'mean' and 'std'")
 
 
 def load_report(path):
-    """Read back a JSON report: (reports, aggregate), with every aggregate cell checked."""
+    """Read back a JSON report: (reports, aggregate), with every aggregate key and cell checked."""
     with open(path, encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
@@ -301,10 +308,12 @@ def load_report(path):
             summary = blob["aggregate"]
             if not isinstance(summary["bins"], list):
                 raise TypeError("aggregate needs a 'bins' list")
+            _check_keys(summary, ("metrics", "bins"), "aggregate keys")
             _check_metric_cells(summary["metrics"])
             for row in summary["bins"]:
                 if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in ("lo", "hi")):
                     raise TypeError("a bin row must be an object with number 'lo' and 'hi'")
+                _check_keys(row, ("bin", "count", "metrics", "lo", "hi"), "bin row keys")
                 _check_metric_cells(row["metrics"])
         except (ValueError, KeyError, TypeError) as exc:
             raise DataValidationError(f"not a report file ({type(exc).__name__}: {exc})", path=path) from None

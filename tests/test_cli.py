@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amber import trainer
-from amber.cli import TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
+from amber.cli import TRAIN_DEFAULTS, TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
 from amber.errors import DataValidationError
 from amber.evalreport import (
     BIN_METRICS,
@@ -85,6 +85,30 @@ def test_gen_is_byte_deterministic(tmp_path):
     assert main(_gen_args(a)) == 0
     assert main(_gen_args(b)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_gen_defaults_are_the_synth_config_defaults(tmp_path):
+    implicit, explicit = tmp_path / "implicit.jsonl", tmp_path / "explicit.jsonl"
+    required = ["gen", "--samples", "30", "--classes", "3"]
+    assert main(required + ["--out", str(implicit)]) == 0
+    assert main(required + ["--dim-a", "16", "--dim-t", "16", "--raters", "10", "--alpha", "0.7",
+                            "--conflict", "0.3", "--noise", "0.5", "--seed", "0", "--folds", "5",
+                            "--out", str(explicit)]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+    manifests = [json.loads(Path(f"{path}.manifest.json").read_text()) for path in (implicit, explicit)]
+    assert manifests[0]["manifest_sha256"] == manifests[1]["manifest_sha256"]
+
+
+def test_train_defaults_resolve_to_the_documented_values():
+    parser = build_parser()
+    ns = parser.parse_args(["train", "--data", "d", "--out-dir", "o"])
+    assert list(_resolve_train_config(ns, parser).items()) == [
+        ("objective", "amber"), ("student", "at"), ("lambda_rai", 1.0), ("lambda_mai", 0.5),
+        ("kappa", 4.0), ("expert_supervision", "rai"), ("mai_grad", "detached"), ("hidden", 256),
+        ("fusion_dim", 256), ("lr", 3e-4), ("weight_decay", 1e-2), ("batch", 128), ("epochs", 30),
+        ("seeds", 5), ("folds", None), ("bins", 4), ("jobs", 1),
+    ]
+    assert parser.parse_args(["eval", "--checkpoint", "c", "--data", "d", "--out-dir", "o"]).bins == 4
 
 
 def test_gen_rejects_out_of_range_conflict(tmp_path, capsys):
@@ -186,6 +210,7 @@ def test_eval_emits_binned_report(dataset, tmp_path):
                  "--bins", "4", "--out-dir", str(out)]) == 0
     report = json.loads((out / "eval-report.json").read_text())
     assert len(report["reports"][0]["bins"]) == 4
+    assert load_report(out / "eval-report.json")[1] == report["aggregate"]
     csv_text = (out / "eval-report.csv").read_text()
     assert csv_text.startswith("system,fold,seed,bin,metric,value,mean,std")
 
@@ -519,6 +544,21 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, blob
         assert main(["bins", "--report", str(bad)]) == 2, blob
         assert "data validation error" in capsys.readouterr().err
+    unknown_names = {  # names that no aggregate of `emit_report` holds
+        "unknown aggregate keys: ['extra']": lambda agg: agg.update(extra=5),
+        "unknown bin row keys: ['extra']": lambda agg: agg["bins"][0].update(extra=5),
+        "unknown metric names: ['XYZ']": lambda agg: agg["metrics"].update(XYZ=agg["metrics"]["JS"]),
+        "unknown metric names: ['R2_clamped']": lambda agg: agg["bins"][1]["metrics"].update(
+            R2_clamped={"mean": 0.5, "std": 0.0}),
+    }
+    for named, edit in unknown_names.items():
+        blob = json.loads(_REPORT_TEXT)
+        edit(blob["aggregate"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["compare", "--baseline", str(good), "--candidate", str(bad)]) == 2, named
+        assert main(["bins", "--report", str(bad)]) == 2, named
+        assert capsys.readouterr().err.count(named) == 2, named
 
 
 def _fuzz_report_text():
@@ -626,28 +666,30 @@ def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
 
 
 _CONFIG_VALUE_CASES = {
-    "epochs-float": ('{"epochs": 1.9}', [], "epochs", 1),
-    "epochs-bool": ('{"epochs": true}', [], "epochs", 1),
-    "lr-string": ('{"lr": "0.001"}', [], "lr", 1),
-    "jobs-float": ('{"jobs": 2.5}', [], "jobs", 1),
-    "lr-nan": ('{"lr": NaN}', [], "lr", 1),
-    "lr-inf": ('{"lr": 1e400}', [], "lr", 1),
-    "lr-huge-int": ('{"lr": 1' + "0" * 400 + "}", [], "lr", 1),
-    "lr-nan-flag": ("{}", ["--lr", "nan"], "lr", 1),
-    "hidden-null": ('{"hidden": null}', [], "hidden", 1),
-    "lr-int": ('{"lr": 1, "epochs": 1, "seeds": 1, "hidden": 8, "fusion_dim": 8, "bins": 3}', [], "lr", 0),
+    "epochs-float": ('{"epochs": 1.9}', [], "option 'epochs'", 1),
+    "epochs-bool": ('{"epochs": true}', [], "option 'epochs'", 1),
+    "lr-string": ('{"lr": "0.001"}', [], "option 'lr'", 1),
+    "jobs-float": ('{"jobs": 2.5}', [], "option 'jobs'", 1),
+    "lr-nan": ('{"lr": NaN}', [], "option 'lr'", 1),
+    "lr-inf": ('{"lr": 1e400}', [], "option 'lr'", 1),
+    "lr-huge-int": ('{"lr": 1' + "0" * 400 + "}", [], "option 'lr'", 1),
+    "lr-nan-flag": ("{}", ["--lr", "nan"], "option 'lr'", 1),
+    "hidden-null": ('{"hidden": null}', [], "option 'hidden'", 1),
+    "data-key": ('{"data": "nope.jsonl"}', [], "unknown config keys: ['data']", 1),  # --data is a flag only
+    "misspelt-key": ('{"epoch": 2, "epochs": 2}', [], "unknown config keys: ['epoch']", 1),
+    "lr-int": ('{"lr": 1, "epochs": 1, "seeds": 1, "hidden": 8, "fusion_dim": 8, "bins": 3}', [], None, 0),
 }
 
 
-@pytest.mark.parametrize("text, flags, key, code", _CONFIG_VALUE_CASES.values(), ids=list(_CONFIG_VALUE_CASES))
-def test_config_values_are_type_checked_before_the_manifest(dataset, tmp_path, capsys, text, flags, key, code):
+@pytest.mark.parametrize("text, flags, error, code", _CONFIG_VALUE_CASES.values(), ids=list(_CONFIG_VALUE_CASES))
+def test_config_values_are_type_checked_before_the_manifest(dataset, tmp_path, capsys, text, flags, error, code):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(text)
     out_dir = tmp_path / "run"
     assert main(["train", "--data", str(dataset), "--out-dir", str(out_dir),
                  "--config", str(cfg_file)] + flags) == code
     if code:
-        assert f"option {key!r}" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out_dir.exists()
     else:  # an int is a float value, recorded as a float
         manifest = (out_dir / "manifest.json").read_text()
@@ -691,10 +733,10 @@ def test_any_config_value_resolves_to_its_row_type_or_exits_1_or_2(key, value):
             return
         except DataValidationError:
             return
-    typ = TRAIN_OPTIONS[key][0]
+    typ = TRAIN_OPTIONS[key][2]
     assert isinstance(cfg, TrainConfig)
-    for name, (row_type, default, _, _) in TRAIN_OPTIONS.items():
-        got = resolved[name]
+    for name, (_, _, row_type, _, _) in TRAIN_OPTIONS.items():
+        got, default = resolved[name], TRAIN_DEFAULTS[name]
         if name == "folds" and got is None:
             continue
         assert type(got) is row_type, (name, got)
