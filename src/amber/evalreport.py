@@ -295,6 +295,9 @@ def _check_metric_cells(metrics):
     for name, cell in metrics.items():
         if not (isinstance(cell, dict) and _is_number(cell.get("mean")) and _is_number(cell.get("std"))):
             raise TypeError(f"metric {name!r} needs a number 'mean' and 'std'")
+        _check_keys(cell, ("mean", "std", "n"), f"keys in metric {name!r}")
+        if not (type(cell.get("n")) is int and cell["n"] >= 1):
+            raise TypeError(f"metric {name!r} needs a positive int 'n'")
 
 
 def load_report(path):

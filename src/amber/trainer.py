@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("batch and epochs must be >= 1")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("at least one seed is required")

@@ -262,7 +262,9 @@ def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, 
     assert "smallest test fold" in capsys.readouterr().err
     assert main(_train_args(dataset, tmp_path / "r3", **{"--folds": 41})) == 1
     assert "--folds must lie in [3, 40]" in capsys.readouterr().err
-    assert not any((tmp_path / run).exists() for run in ("r1", "r2", "r3"))
+    assert main(_train_args(dataset, tmp_path / "r4", **{"--bins": 1})) == 1
+    assert "--bins must be >= 2" in capsys.readouterr().err
+    assert not any((tmp_path / run).exists() for run in ("r1", "r2", "r3", "r4"))
 
 
 @pytest.mark.parametrize("flag, value", [("--hidden", 10**10), ("--hidden", 10**20), ("--fusion-dim", 10**10)])
@@ -532,6 +534,13 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         {"metrics": {"JS": {"mean": "x", "std": 0.0}}, "bins": []},
         {"metrics": {"JS": {"mean": True, "std": 0.0}}, "bins": []},
         {"metrics": {"JS": {"mean": 1e400, "std": 0.0}}, "bins": []},
+        {"metrics": {"JS": {"mean": 0.1, "std": 0.0}}, "bins": []},
+        {"metrics": {"JS": {"mean": 0.1, "std": 0.0, "n": "many"}}, "bins": []},
+        {"metrics": {"JS": {"mean": 0.1, "std": 0.0, "n": True}}, "bins": []},
+        {"metrics": {"JS": {"mean": 0.1, "std": 0.0, "n": 0}}, "bins": []},
+        {"metrics": {"JS": {"mean": 0.1, "std": 0.0, "n": 1, "extra": 1}}, "bins": []},
+        {"metrics": {}, "bins": [{"bin": 0, "count": 1, "lo": 0, "hi": 1,
+                                  "metrics": {"JS": {"mean": 0.1, "std": 0.0, "n": 1.0}}}]},
         {"metrics": {}, "bins": [{"bin": 0}]},
         {"metrics": {}, "bins": [{"metrics": {"JS": {"mean": 0.1}}}]},
         {"metrics": {}, "bins": [{"lo": "x", "metrics": {}}]},
@@ -573,6 +582,8 @@ def _fuzz_report_text():
 
 _REPORT_TEXT = _fuzz_report_text()
 _REPORT_CELLS = [True, False, None, "x", "", [], {}, [0.5], {"mean": 0.5}, {"mean": 0.5, "std": 0.0},
+                 {"mean": 0.5, "std": 0.0, "n": 1}, {"mean": 0.5, "std": 0.0, "n": 0},
+                 {"mean": 0.5, "std": 0.0, "n": True}, {"mean": 0.5, "std": 0.0, "n": 2, "extra": 1},
                  0, -1, 0.5, 5e-324, 1e308, -1e308, 2**70, -2**70, 2**1100, math.inf, math.nan]
 
 
@@ -609,13 +620,22 @@ def _report_mutant(draw):
     return text
 
 
+def _metric_cells_are_exact(text):
+    """Every aggregate and bin-row metric cell holds just `mean`, `std` and a positive int `n`."""
+    summary = json.loads(text)["aggregate"]
+    return all(set(cell) == {"mean", "std", "n"} and type(cell["n"]) is int and cell["n"] >= 1
+               for metrics in [summary["metrics"]] + [row["metrics"] for row in summary["bins"]]
+               for cell in metrics.values())
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_path_factory, data):
     folder = tmp_path_factory.mktemp("report")
     good, bad, out = folder / "good.json", folder / "bad.json", folder / "out.csv"
     good.write_text(_REPORT_TEXT, encoding="utf-8")
-    bad.write_text(_report_mutant(data.draw), encoding="utf-8")
+    text = _report_mutant(data.draw)
+    bad.write_text(text, encoding="utf-8")
     shapes = (
         ["compare", "--baseline", str(bad), "--candidate", str(good)],
         ["compare", "--baseline", str(good), "--candidate", str(bad), "--out", str(out)],
@@ -628,7 +648,7 @@ def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_p
             code = main(args)
         err = stderr.getvalue()
         if code == 0:
-            assert err == "", args
+            assert err == "" and _metric_cells_are_exact(text), args
         else:
             assert code == 2, (args, err)
             assert err.startswith("amber: data validation error: ") and err.count("\n") == 1, err
@@ -701,10 +721,12 @@ _JSON_SCALARS = (
     | st.floats() | st.text(max_size=8)
     | st.sampled_from(["amber", "cbce", "a", "t", "at", "rai", "none", "detached", "coupled"])
 )
-_JSON_VALUES = st.recursive(
+_JSON_FLAT = st.lists(_JSON_SCALARS, max_size=3) | st.dictionaries(st.text(max_size=4), _JSON_SCALARS, max_size=3)
+# scalars, flat containers and one nested level: about 40% of the test's draws are scalars, the values a config holds
+_JSON_VALUES = st.one_of(
     _JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
+    _JSON_FLAT,
+    st.lists(_JSON_FLAT, max_size=2) | st.dictionaries(st.text(max_size=4), _JSON_FLAT, max_size=2),
 )
 _DATASET_SHAPE = SimpleNamespace(dim_a=4, dim_t=4, n_classes=3)  # all _train_config reads of a dataset
 

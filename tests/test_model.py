@@ -389,13 +389,41 @@ def test_predict_runs_the_student_alone_byte_equal_to_forward_all(student):
     assert out[student].tobytes() == full[student].data.tobytes()
 
 
-def test_predict_holds_at_most_six_batch_by_width_arrays_at_once():
-    # A unit is one rows x width float64 array. The gated fusion is the peak:
-    # the gate, both projections and the mix's two arrays, 5 units.
+@pytest.mark.parametrize("student", MODALITIES)
+def test_blocked_predict_is_byte_equal_to_forward_all_at_every_block_edge(student):
+    # 513 rows end in a 1-row tail, which joins the block before it.
+    cfg = ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=256, fusion_dim=256, student=student)
+    params = init_params(cfg, 2)
+    tensors = wrap_params(params, requires_grad=False)
+    rng = np.random.default_rng(6)
+    for rows in (1, 2, 255, 256, 257, 513, 514):
+        h_a, h_t = rng.standard_normal((rows, 16)), rng.standard_normal((rows, 16))
+        full = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg)[student].data
+        assert predict(params, cfg, h_a, h_t)[student].tobytes() == full.tobytes(), rows
+
+
+def test_predict_names_a_malformed_input_by_its_whole_shape():
+    cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
+    params = init_params(cfg, 0)
+    cases = [
+        ("a", np.zeros((600, 5)), np.zeros((600, 4)), "head 'a' expects input dim 3, got (600, 5)"),
+        ("a", np.zeros(600), np.zeros((600, 4)), "head 'a' expects input dim 3, got (600,)"),
+        ("at", np.zeros((600, 3)), np.zeros((599, 4)), "batch sizes differ: 600 vs 599"),
+        ("t", np.zeros((600, 3)), np.full((600, 4), np.nan), "non-finite input to head 't'"),
+    ]
+    for student, h_a, h_t, message in cases:
+        with pytest.raises(ValueError) as err:
+            predict(params, ModelConfig(**{**asdict(cfg), "student": student}), h_a, h_t)
+        assert str(err.value) == message
+
+
+def test_predict_holds_at_most_1_6_batch_by_width_arrays_at_once():
+    # A unit is one rows x width float64 array. The hidden layer of all rows
+    # is one; the blocks of 256 rows add about a third of one at 4000 rows.
     rows, width = 4000, 256
     cfg = ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=width, fusion_dim=width)
     params = init_params(cfg, 0)
     rng = np.random.default_rng(1)
     h_a, h_t = rng.standard_normal((rows, 16)), rng.standard_normal((rows, 16))
     units = traced_peak_bytes(lambda: predict(params, cfg, h_a, h_t)) / (rows * width * 8)
-    assert units <= 6.0, f"predict peaked at {units:.2f} units"
+    assert units <= 1.6, f"predict peaked at {units:.2f} units"

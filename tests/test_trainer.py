@@ -261,6 +261,8 @@ def test_train_config_validation():
         TrainConfig(model=mc, lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(model=mc, seeds=())
+    with pytest.raises(ValueError, match="n_bins must be >= 2"):  # before any run trains
+        TrainConfig(model=mc, n_bins=1)
 
 
 @pytest.mark.parametrize("objective", ["amber", "cbce"])
