@@ -20,9 +20,12 @@ that node's `grad` again, so only the leaves keep theirs and an interior
 gradient lives no longer than the step that consumes it. `stop_grad` is the
 one way to detach.
 
-Fused nodes: `linear` is `add(matmul(x, w), b)` and `gated_mix` is the gated
+Fused nodes: `linear` is `add(matmul(x, w), b)`, `linear_relu` and
+`linear_sigmoid` are `relu` and `sigmoid` of it, and `gated_mix` is the gated
 fusion `g * a + (1 - g) * b`, each as one node that gives the same bytes as
-the composite, forward and backward, in fewer arrays.
+the composite, forward and backward, in fewer arrays. A graph node keeps
+only the arrays its backward reads: the fused activations keep their output
+and not the pre-activation, which the composite's `linear` node would hold.
 
 Gradient formulas clamp logarithm arguments at `GRAD_LOG_FLOOR`; forward
 values never clamp (the metric path must see exact zeros).
@@ -146,62 +149,105 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd, "add")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`x @ w + b` with a 1-D bias `b`: the bytes of `add(matmul(x, w), b)`
-    in one node, the bias added in place into the product."""
+def _affine(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
+    """`x @ w + b` as a fresh array, the bias added in place into the product."""
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ValueError(f"linear shape mismatch: {x.data.shape} @ {w.data.shape}")
     if b.data.shape != (w.data.shape[1],):
         raise ValueError(f"linear bias shape {b.data.shape} does not fit {w.data.shape}")
     y = x.data @ w.data
     y += b.data
-
-    def bwd(g):
-        if x.requires_grad:
-            _accumulate(x, g @ w.data.T)
-        if w.requires_grad:
-            _accumulate(w, x.data.T @ g)
-        if b.requires_grad:
-            _accumulate(b, g.sum(axis=0))
-
-    return _node(y, (x, w, b), bwd, "linear")
+    return y
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+def _affine_bwd(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray):
+    """Route the gradient `g` of `x @ w + b` to its operands."""
+    if x.requires_grad:
+        _accumulate(x, g @ w.data.T)
+    if w.requires_grad:
+        _accumulate(w, x.data.T @ g)
+    if b.requires_grad:
+        _accumulate(b, g.sum(axis=0))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`x @ w + b` with a 1-D bias `b`: the bytes of `add(matmul(x, w), b)` in one node."""
+    return _node(_affine(x, w, b), (x, w, b), lambda g: _affine_bwd(x, w, b, g), "linear")
+
+
+# The activations' math, shared by the standalone ops and the fused
+# `linear_*` nodes. Each forward writes its result into `out` (a fresh array
+# when None, or its own input when that is an array the caller just made);
+# each backward reads only the activated output `y`.
+
+
+def _relu_values(x: np.ndarray, out=None) -> np.ndarray:
     # fmax maps NaN to 0 like the select `x if x > 0 else 0`; `+= 0.0` turns -0.0 into +0.0
-    y = np.fmax(x.data, 0.0)
+    y = np.fmax(x, 0.0, out=out)
     y += 0.0
-
-    def bwd(g):
-        _accumulate(x, g * mask)
-
-    return _node(y, (x,), bwd, "relu")
+    return y
 
 
-def sigmoid(x: Tensor) -> Tensor:
+def _relu_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # y > 0 exactly where x > 0: fmax gives +0.0 for NaN, -0.0 and every x <= 0
+    return g * (y > 0)
+
+
+def _sigmoid_values(x: np.ndarray, out=None) -> np.ndarray:
     """Overflow-safe 1 / (1 + e^-x), bit-equal to the piecewise form.
 
     With z = e^-|x| (never overflows) and p = [x >= 0], the result is
     1 / (1 + z) where p = 1 and z / (1 + z) where p = 0; `p + (1 - p) * z`
     picks the numerator exactly. min(x, -x) is -|x| but keeps a NaN's sign.
+    `x` is read only before `out` is first written.
     """
-    z = np.negative(x.data)
-    np.minimum(x.data, z, out=z)
+    z = np.negative(x)
+    np.minimum(x, z, out=z)
     np.exp(z, out=z)
-    p = (x.data >= 0).astype(np.float64)
-    y = 1.0 - p
+    p = (x >= 0).astype(np.float64)
+    y = np.subtract(1.0, p, out=out)
     y *= z
     y += p
     z += 1.0
     y /= z
+    return y
 
-    def bwd(g):
-        dx = g * y
-        dx *= 1.0 - y
-        _accumulate(x, dx)
 
-    return _node(y, (x,), bwd, "sigmoid")
+def _sigmoid_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    dx = g * y
+    dx *= 1.0 - y
+    return dx
+
+
+def relu(x: Tensor) -> Tensor:
+    y = _relu_values(x.data)
+    return _node(y, (x,), lambda g: _accumulate(x, _relu_grad(g, y)), "relu")
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Elementwise logistic function; see `_sigmoid_values` for the overflow-safe form."""
+    y = _sigmoid_values(x.data)
+    return _node(y, (x,), lambda g: _accumulate(x, _sigmoid_grad(g, y)), "sigmoid")
+
+
+def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`relu(linear(x, w, b))` in one node that keeps only its output.
+
+    The pre-activation is overwritten by the activation, so the graph holds
+    one array where the composite holds two; backward takes relu's mask from
+    the output. Forward and backward give the composite's bytes.
+    """
+    z = _affine(x, w, b)
+    y = _relu_values(z, out=z)
+    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _relu_grad(g, y)), "linear_relu")
+
+
+def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """`sigmoid(linear(x, w, b))` in one node that keeps only its output,
+    as `linear_relu` does; backward takes the derivative from the output."""
+    z = _affine(x, w, b)
+    y = _sigmoid_values(z, out=z)
+    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _sigmoid_grad(g, y)), "linear_sigmoid")
 
 
 def softmax(x: Tensor) -> Tensor:

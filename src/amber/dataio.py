@@ -31,6 +31,9 @@ SCHEMA = "amber-ds-v1"
 # sidecar written under the old ones is read.
 CACHE_FORMAT = "amber-ds-cache-v2"
 
+# Bytes per read while `load_jsonl` hashes a dataset file.
+HASH_CHUNK = 1 << 20
+
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
 Y_CROSSCHECK_TOL = 1e-6
@@ -152,6 +155,11 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     different class drawn uniformly. Features are the cue-class anchors plus
     Gaussian noise whose expected norm is noise_sigma, so the signal-to-noise
     ratio against the unit-norm anchors does not depend on the feature dims.
+
+    The per-sample loop makes only the random draws, in the order that fixes
+    the output: pi, votes, the conflict coin, the class offset when the coin
+    says conflict, then one normal draw for both noise vectors. The cue
+    classes and the features are computed for all rows after it.
     """
     rng = np.random.default_rng(cfg.seed)
     anchors_a = class_anchors(rng, cfg.n_classes, cfg.dim_a)
@@ -160,21 +168,25 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     sd_t = cfg.noise_sigma / np.sqrt(cfg.dim_t)
 
     n = cfg.n_samples
-    h_a = np.empty((n, cfg.dim_a))
-    h_t = np.empty((n, cfg.dim_t))
+    pi = np.empty((n, cfg.n_classes))
     votes = np.empty((n, cfg.n_classes), dtype=np.int64)
+    offset = np.zeros(n, dtype=np.int64)  # 0: the audio cue agrees with the text cue
+    h = np.empty((n, cfg.dim_a + cfg.dim_t))  # [h_a | h_t]: the noise, then the features in place
+    h_a, h_t = h[:, :cfg.dim_a], h[:, cfg.dim_a:]
     alpha = np.full(cfg.n_classes, cfg.ambiguity_alpha)
     for i in range(n):
-        pi = rng.dirichlet(alpha)
-        votes[i] = rng.multinomial(cfg.n_raters, pi)
-        c_t = int(np.argmax(pi))
-        c_a = c_t
+        pi[i] = rng.dirichlet(alpha)
+        votes[i] = rng.multinomial(cfg.n_raters, pi[i])
         if rng.random() < cfg.conflict_rate:
-            offset = int(rng.integers(1, cfg.n_classes))
-            c_a = (c_t + offset) % cfg.n_classes
-        h_a[i] = anchors_a[c_a] + sd_a * rng.standard_normal(cfg.dim_a)
-        h_t[i] = anchors_t[c_t] + sd_t * rng.standard_normal(cfg.dim_t)
+            offset[i] = rng.integers(1, cfg.n_classes)
+        h[i] = rng.standard_normal(cfg.dim_a + cfg.dim_t)
 
+    c_t = np.argmax(pi, axis=1)
+    c_a = (c_t + offset) % cfg.n_classes
+    h_a *= sd_a
+    h_a += anchors_a[c_a]
+    h_t *= sd_t
+    h_t += anchors_t[c_t]
     order = rng.permutation(n)
     ids = np.array([f"synth-{i:06d}" for i in range(n)], dtype=object)
     return Dataset(ids[order], h_a[order], h_t[order], votes[order], cfg.fold_count)
@@ -246,21 +258,26 @@ def save_jsonl(ds: Dataset, path):
 def load_jsonl(path) -> Dataset:
     """Parse and validate a dataset file; every failure names its line.
 
-    The file's bytes are read once and hashed (sha256). The validated
-    columns are cached in a sidecar `.<name>.amber-cache` next to the file,
-    keyed by that digest, so a load of unchanged bytes reads the columns
-    from there instead of parsing again. A sidecar that is missing,
-    unreadable, keyed to other bytes or failing its checks is ignored and
-    rewritten after the parse; where it cannot be written (a read-only
-    directory) the load goes on without it.
+    The file is hashed (sha256) in chunks of `HASH_CHUNK` bytes. The
+    validated columns are cached in a sidecar `.<name>.amber-cache` next to
+    the file, keyed by that digest, so a load of unchanged bytes reads the
+    columns from there and never holds the whole file. Otherwise the file is
+    read whole, hashed again (the digest then names the very bytes parsed,
+    should the file have changed in between) and parsed. A sidecar that is
+    missing, unreadable, keyed to other bytes or failing its checks is
+    ignored and rewritten after the parse; where it cannot be written (a
+    read-only directory) the load goes on without it.
     """
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        data = fh.read()
-    digest = hashlib.sha256(data).hexdigest()
+        while chunk := fh.read(HASH_CHUNK):
+            digest.update(chunk)
     cache = Path(path).with_name(f".{Path(path).name}.amber-cache")
-    ds = _read_cache(cache, digest)
+    ds = _read_cache(cache, digest.hexdigest())
     if ds is None:
-        ds = _parse(data, path, digest)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        ds = _parse(data, path, hashlib.sha256(data).hexdigest())
         try:
             write_text_atomic(cache, _cache_bytes(ds))
         except OSError:

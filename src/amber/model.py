@@ -5,6 +5,13 @@ embeddings, "at" consumes the gated fusion of both. Each head is a two-layer
 MLP (linear, ReLU, linear, softmax). One head is designated the student; the
 other two act as experts. Training and `predict` share each head's two steps,
 `head_hidden` and `head_output`; `predict` runs the first in row blocks.
+
+A forward builds only the heads its caller reads: `forward_all` builds the
+`heads` it is given (all three by default, which the amber objective needs),
+and the fusion only for "at". The cbce objective and `predict` build the
+student alone, after the fusion if the student is "at". A head's first layer
+and the fusion gate are one fused node each (`ad.linear_relu`,
+`ad.linear_sigmoid`), which keeps only its activated output.
 """
 
 from __future__ import annotations
@@ -95,7 +102,7 @@ def wrap_params(params: dict, requires_grad=True) -> dict:
 
 
 def head_hidden(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
-    """relu(W1 @ h + b1): the hidden layer of head `modality`, after checking its input."""
+    """relu(h @ W1 + b1): the hidden layer of head `modality`, after checking its input."""
     if modality not in MODALITIES:
         raise ValueError(f"unknown modality {modality!r}")
     w1 = tensors[f"{modality}.w1"]
@@ -105,7 +112,7 @@ def head_hidden(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
         )
     if not np.all(np.isfinite(h.data)):
         raise ValueError(f"non-finite input to head {modality!r}")
-    return ad.relu(ad.linear(h, w1, tensors[f"{modality}.b1"]))
+    return ad.linear_relu(h, w1, tensors[f"{modality}.b1"])
 
 
 def head_output(tensors: dict, modality: str, hid: ad.Tensor) -> ad.Tensor:
@@ -128,9 +135,7 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
         raise ValueError(
             f"batch sizes differ: {h_a.data.shape[0]} vs {h_t.data.shape[0]}"
         )
-    gate = ad.sigmoid(
-        ad.linear(ad.concat(h_a, h_t), tensors["fuse.gate_w"], tensors["fuse.gate_b"])
-    )
+    gate = ad.linear_sigmoid(ad.concat(h_a, h_t), tensors["fuse.gate_w"], tensors["fuse.gate_b"])
     proj_a = ad.matmul(h_a, tensors["fuse.proj_a"])
     proj_t = ad.matmul(h_t, tensors["fuse.proj_t"])
     h_at = ad.gated_mix(gate, proj_a, proj_t)
@@ -139,14 +144,16 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
     return h_at
 
 
-def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig) -> dict:
-    """All three head distributions; `outputs[cfg.student]` is the student."""
-    h_at = fuse(tensors, h_a, h_t)
-    return {
-        "a": head_forward(tensors, "a", h_a),
-        "t": head_forward(tensors, "t", h_t),
-        "at": head_forward(tensors, "at", h_at),
-    }
+def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig,
+                heads=MODALITIES) -> dict:
+    """The distributions of `heads` (all three by default), keyed in `MODALITIES`
+    order; `outputs[cfg.student]` is the student. The fusion runs only for "at"."""
+    if not set(heads) <= set(MODALITIES):
+        raise ValueError(f"heads must be among {MODALITIES}, got {heads!r}")
+    h = {"a": h_a, "t": h_t}
+    if "at" in heads:
+        h["at"] = fuse(tensors, h_a, h_t)
+    return {m: head_forward(tensors, m, h[m]) for m in MODALITIES if m in heads}
 
 
 def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) -> dict:

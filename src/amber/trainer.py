@@ -22,7 +22,7 @@ from . import evalreport
 from .dataio import Dataset, fold_split
 from .errors import NumericalAbortError, WorkerDiedError
 from .losses import LossConfig, amber_loss, cbce_loss, class_weights_from
-from .model import QUIET_OVERFLOW, ModelConfig, forward_all, init_params, predict, wrap_params
+from .model import MODALITIES, QUIET_OVERFLOW, ModelConfig, forward_all, init_params, predict, wrap_params
 
 OBJECTIVES = ("amber", "cbce")
 
@@ -132,12 +132,16 @@ class RunRecord:
 def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
     """Forward, loss, backward and `opt_step` on one batch; the loss fields.
 
-    The batch's graph lives only in this call's locals, so it is freed on
-    return, before the next batch's forward starts.
+    The forward builds only the heads the objective reads: all three for
+    amber, the student alone for cbce, so a head cbce does not train is not
+    run and cannot abort the step. The batch's graph lives only in this
+    call's locals, so it is freed on return, before the next batch's forward
+    starts.
     """
     tensors = wrap_params(params)
+    heads = MODALITIES if cfg.objective == "amber" else (cfg.model.student,)
     with np.errstate(**QUIET_OVERFLOW):
-        outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model)
+        outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model, heads)
         for m, out in outputs.items():
             if not np.all(np.isfinite(out.data)):
                 raise NumericalAbortError(f"non-finite output of head {m!r}")

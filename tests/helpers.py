@@ -1,6 +1,6 @@
 """Shared test oracles: finite-difference gradient checks, the composite
-autodiff ops the fused nodes replaced, and the dataset parse before the
-column cache.
+autodiff ops the fused nodes replaced, the dataset parse before the column
+cache and the per-sample synthetic generator.
 
 The adaptive expert weights and (in detached mode) the expert branch of the
 consistency term are non-differentiable by design: they enter the graph as
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from amber import autodiff as ad
-from amber.dataio import SCHEMA, Y_CROSSCHECK_TOL, Dataset, _soft_labels
+from amber.dataio import SCHEMA, Y_CROSSCHECK_TOL, Dataset, SynthConfig, _soft_labels, class_anchors
 from amber.errors import DataValidationError
 from amber.losses import LossConfig, amber_loss
 from amber.model import MODALITIES, ModelConfig, forward_all, init_params, wrap_params
@@ -334,3 +334,37 @@ def _oracle_parse_record(record, h_a, h_t, votes, line_no, path):
             fail("stored 'y' disagrees with normalized votes")
 
     return sample_id
+
+
+# ---------------------------------------------------------------------------
+# synthetic generator oracle
+
+
+def oracle_generate_synthetic(cfg: SynthConfig) -> Dataset:
+    """`generate_synthetic` as it was before its loop kept only the draws:
+    every row's cue classes and features computed inside the loop."""
+    rng = np.random.default_rng(cfg.seed)
+    anchors_a = class_anchors(rng, cfg.n_classes, cfg.dim_a)
+    anchors_t = class_anchors(rng, cfg.n_classes, cfg.dim_t)
+    sd_a = cfg.noise_sigma / np.sqrt(cfg.dim_a)
+    sd_t = cfg.noise_sigma / np.sqrt(cfg.dim_t)
+
+    n = cfg.n_samples
+    h_a = np.empty((n, cfg.dim_a))
+    h_t = np.empty((n, cfg.dim_t))
+    votes = np.empty((n, cfg.n_classes), dtype=np.int64)
+    alpha = np.full(cfg.n_classes, cfg.ambiguity_alpha)
+    for i in range(n):
+        pi = rng.dirichlet(alpha)
+        votes[i] = rng.multinomial(cfg.n_raters, pi)
+        c_t = int(np.argmax(pi))
+        c_a = c_t
+        if rng.random() < cfg.conflict_rate:
+            offset = int(rng.integers(1, cfg.n_classes))
+            c_a = (c_t + offset) % cfg.n_classes
+        h_a[i] = anchors_a[c_a] + sd_a * rng.standard_normal(cfg.dim_a)
+        h_t[i] = anchors_t[c_t] + sd_t * rng.standard_normal(cfg.dim_t)
+
+    order = rng.permutation(n)
+    ids = np.array([f"synth-{i:06d}" for i in range(n)], dtype=object)
+    return Dataset(ids[order], h_a[order], h_t[order], votes[order], cfg.fold_count)

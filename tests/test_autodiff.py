@@ -380,6 +380,14 @@ def _linear_composite(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
+def _linear_relu_composite(x, w, b):
+    return ad.relu(ad.linear(x, w, b))
+
+
+def _linear_sigmoid_composite(x, w, b):
+    return ad.sigmoid(ad.linear(x, w, b))
+
+
 def _gated_mix_composite(g, a, b):
     inv_gate = ad.add(ad.constant(np.ones_like(g.data)), ad.scalar_mul(-1.0, g))
     return ad.add(elementwise_mul(g, a), elementwise_mul(inv_gate, b))
@@ -399,20 +407,30 @@ def _fused_op_inputs():
                 if special:
                     lin, mix = [_with_specials(rng, v) for v in lin], [_with_specials(rng, v) for v in mix]
                     up = _with_specials(rng, up, every=2)
-                yield {"linear": (lin, up), "gated_mix": (mix, up)}
+                yield {"linear": (lin, up), "linear_relu": (lin, up), "linear_sigmoid": (lin, up),
+                       "gated_mix": (mix, up)}
+    lin = ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(5, 2), _SPECIALS[3:5]],
+           _SPECIALS[[5, 4, 2, 3]].reshape(2, 2))
+    # pre-activations exactly 0.0, +-inf, NaN and +-tiny (one input, unit
+    # weight), negative and NaN upstream; the product never gives -0.0 here,
+    # so the kernel test above pins relu's mask at -0.0
+    act = ([np.ones((1, 1)), _SPECIALS.reshape(1, 10), np.zeros(10)],
+           np.array([[-1.0, 2.0, -3.0, np.nan, -0.0, 0.0, -5e-324, 4.0, -np.inf, 1.0]]))
+    for case in (lin, act):
+        yield {"linear": case, "linear_relu": case, "linear_sigmoid": case}
     nans, snan = _SPECIALS[[4, 5] * 5].reshape(2, 5), _SPECIALS[[5, 4] * 5].reshape(2, 5)
-    yield {
-        "linear": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(5, 2), _SPECIALS[3:5]],
-                   _SPECIALS[[5, 4, 2, 3]].reshape(2, 2)),
-        "gated_mix": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(2, 5), nans], snan),
-    }
+    yield {"gated_mix": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(2, 5), nans], snan)}
 
 
 @pytest.mark.parametrize("fused,composite", [(ad.linear, _linear_composite),
+                                             (ad.linear_relu, _linear_relu_composite),
+                                             (ad.linear_sigmoid, _linear_sigmoid_composite),
                                              (ad.gated_mix, _gated_mix_composite)],
-                         ids=["linear", "gated_mix"])
+                         ids=["linear", "linear_relu", "linear_sigmoid", "gated_mix"])
 def test_fused_ops_are_byte_equal_to_their_composites(fused, composite):
     for case in _fused_op_inputs():
+        if fused.__name__ not in case:
+            continue
         operands, up = case[fused.__name__]
         up.setflags(write=False)
         results = []

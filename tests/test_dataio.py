@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amber.dataio import (
     SCHEMA,
@@ -20,6 +22,8 @@ from amber import dataio
 from amber.cli import main as cli_main
 from amber.distlib import entropy_bits_rows
 from amber.errors import DataValidationError
+
+from helpers import oracle_generate_synthetic
 
 HEADER = {"schema": SCHEMA, "C": 3, "dim_a": 2, "dim_t": 2, "folds": 3}
 
@@ -138,6 +142,40 @@ def test_generator_determinism():
     assert np.array_equal(a.h_t, b.h_t)
     assert np.array_equal(a.votes, b.votes)
     assert np.all(a.votes >= 0) and np.all(a.votes.sum(axis=1) == cfg.n_raters)
+
+
+def _same_dataset(a, b):
+    return (a.fold_count == b.fold_count and a.ids.tolist() == b.ids.tolist()
+            and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    for x, y in ((a.h_a, b.h_a), (a.h_t, b.h_t), (a.votes, b.votes), (a.y, b.y))))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},  # the acceptance test's pinned config
+    {"n_classes": 2, "ambiguity_alpha": 0.05},
+    {"ambiguity_alpha": 50.0, "conflict_rate": 1.0},
+    {"conflict_rate": 0.0, "noise_sigma": 0.0},
+    {"dim_a": 5, "dim_t": 9, "n_raters": 1},
+])
+def test_generator_is_byte_equal_to_the_per_sample_oracle(overrides):
+    cfg = SynthConfig(**{**dict(n_samples=400, n_classes=4, dim_a=16, dim_t=16, n_raters=10,
+                                ambiguity_alpha=0.7, conflict_rate=0.3, noise_sigma=0.5,
+                                seed=20250811), **overrides})
+    assert _same_dataset(generate_synthetic(cfg), oracle_generate_synthetic(cfg))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_samples=st.integers(3, 40), n_classes=st.integers(2, 5), dim_a=st.integers(0, 3),
+       dim_t=st.integers(0, 3), n_raters=st.integers(1, 30), alpha=st.floats(1e-3, 1e3),
+       conflict=st.floats(0.0, 1.0), noise=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1),
+       folds=st.integers(1, 3))
+def test_any_synth_config_is_byte_equal_to_the_per_sample_oracle(
+        n_samples, n_classes, dim_a, dim_t, n_raters, alpha, conflict, noise, seed, folds):
+    # the dims are drawn as an excess over n_classes, which the anchors need
+    cfg = SynthConfig(n_samples=n_samples, n_classes=n_classes, dim_a=n_classes + dim_a,
+                      dim_t=n_classes + dim_t, n_raters=n_raters, ambiguity_alpha=alpha,
+                      conflict_rate=conflict, noise_sigma=noise, seed=seed, fold_count=folds)
+    assert _same_dataset(generate_synthetic(cfg), oracle_generate_synthetic(cfg))
 
 
 def test_conflict_rate_one_always_disagrees():

@@ -1,4 +1,5 @@
 import concurrent.futures
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from amber import trainer as trainer_mod
 from amber.dataio import SynthConfig, generate_synthetic
 from amber.errors import NumericalAbortError
 from amber.evalreport import aggregate
-from amber.losses import LossConfig, rai_loss
-from amber.model import ModelConfig
+from amber.losses import LossConfig, class_weights_from, rai_loss
+from amber.model import MODALITIES, ModelConfig
 from amber.trainer import TrainConfig, cross_validate, init_opt_state, opt_step, train_one
 
 from helpers import traced_peak_bytes
@@ -267,13 +268,77 @@ def test_train_config_validation():
 
 @pytest.mark.parametrize("objective", ["amber", "cbce"])
 def test_train_one_frees_each_batch_graph_and_interior_gradients(objective):
-    # A unit is one batch x width float64 array; the peak is about 19.6.
-    # Keeping the previous batch's graph alive through the next forward, or
-    # every interior gradient until backward ends, each raises the amber peak
-    # to about 29 units; both together, with the unfused ops, to 59.
+    # A unit is one batch x width float64 array; the peak is about 15.3 for
+    # amber and 13.1 for cbce (19.6 for both while every first layer kept its
+    # pre-activation and cbce built all three heads). Keeping the previous
+    # batch's graph alive through the next forward raises it to 32.0 and
+    # 25.5, keeping every interior gradient until backward ends to 20.4 and
+    # 16.2.
     batch, width = 600, 256
     ds = _dataset(n_samples=3000, dim_a=16, dim_t=16, seed=5)
     cfg = TrainConfig(model=ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=width, fusion_dim=width),
                       objective=objective, batch=batch, epochs=3, seeds=(0,))
     units = traced_peak_bytes(lambda: train_one(ds, 0, 0, cfg)) / (batch * width * 8)
-    assert units <= 25.0, f"train_one peaked at {units:.2f} units"
+    assert units <= {"amber": 17.0, "cbce": 15.0}[objective], f"train_one peaked at {units:.2f} units"
+
+
+# Units of one 1024 x 256 float64 array, measured: the amber graph holds 7.30
+# (the three heads and the fusion) and backward peaks at 11.24; the cbce graph
+# of the default student "at" holds 5.17 (its head and the fusion) and peaks
+# at 9.11. Before the fused activations and the student-only cbce forward,
+# both held 11.6 and peaked at 15.6.
+@pytest.mark.parametrize("objective,held_bound,backward_bound", [("amber", 8.0, 12.5), ("cbce", 6.0, 10.0)],
+                         ids=["amber", "cbce"])
+def test_a_training_step_graph_holds_only_what_backward_reads(objective, held_bound, backward_bound, monkeypatch):
+    batch, width = 1024, 256
+    cfg = TrainConfig(model=ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=width, fusion_dim=width),
+                      objective=objective, batch=batch)
+    rng = np.random.default_rng(0)
+    params = trainer_mod.init_params(cfg.model, rng)
+    h_a, h_t = rng.standard_normal((batch, 16)), rng.standard_normal((batch, 16))
+    y = rng.dirichlet(np.ones(4), size=batch)
+    marks = {}
+    forward_all, backward = trainer_mod.forward_all, ad.backward
+
+    def traced_forward(*args):
+        marks["start"] = tracemalloc.get_traced_memory()[0]
+        return forward_all(*args)
+
+    def traced_backward(root):
+        marks["held"] = tracemalloc.get_traced_memory()[0] - marks["start"]
+        tracemalloc.reset_peak()
+        backward(root)
+        marks["peak"] = tracemalloc.get_traced_memory()[1] - marks["start"]
+
+    monkeypatch.setattr(trainer_mod, "forward_all", traced_forward)
+    monkeypatch.setattr(ad, "backward", traced_backward)
+    traced_peak_bytes(lambda: trainer_mod._train_step(
+        params, trainer_mod.init_opt_state(params), cfg, h_a, h_t, y, class_weights_from(y)))
+    unit = batch * width * 8
+    assert marks["held"] / unit <= held_bound, f"the graph held {marks['held'] / unit:.2f} units"
+    assert marks["peak"] / unit <= backward_bound, f"backward peaked at {marks['peak'] / unit:.2f} units"
+
+
+def _same_run(a, b):
+    same = lambda x, y: x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+    return (a.epochs == b.epochs and a.report == b.report and list(a.selected_params) == list(b.selected_params)
+            and all(same(a.selected_params[k], b.selected_params[k]) for k in a.selected_params))
+
+
+@pytest.mark.parametrize("student", MODALITIES)
+def test_cbce_student_only_forward_trains_the_bytes_of_an_all_heads_forward(student, monkeypatch):
+    ds = _dataset()
+    cfg = TrainConfig(model=ModelConfig(dim_a=6, dim_t=6, n_classes=4, hidden=16, fusion_dim=16, student=student),
+                      objective="cbce", batch=32, epochs=3, seeds=(0,))
+    built = []
+
+    def spy(*args):
+        built.append(tuple(args[4]))
+        return forward_all(*args)
+
+    forward_all = trainer_mod.forward_all
+    monkeypatch.setattr(trainer_mod, "forward_all", spy)
+    lean = train_one(ds, 0, 0, cfg)
+    assert set(built) == {(student,)}
+    monkeypatch.setattr(trainer_mod, "forward_all", lambda *args: forward_all(*args[:4]))
+    assert _same_run(lean, train_one(ds, 0, 0, cfg))
