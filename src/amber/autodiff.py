@@ -48,31 +48,30 @@ class Tensor:
     up front; an interior node (built by `_node`) starts with `grad = None`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, *, op="leaf"):
+    def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(self.data) if self.requires_grad else None
         self._parents = ()
         self._backward = None
-        self.op = op
 
     def __repr__(self):
-        return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 def constant(data) -> Tensor:
     """A tensor that never receives gradient (e.g. targets, frozen weights)."""
-    return Tensor(data, requires_grad=False, op="const")
+    return Tensor(data, requires_grad=False)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _node(data, parents, backward, op) -> Tensor:
-    out = Tensor(data, op=op)
+def _node(data, parents, backward) -> Tensor:
+    out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -131,7 +130,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, a.data.T @ g)
 
-    return _node(a.data @ b.data, (a, b), bwd, "matmul")
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -146,7 +145,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g.sum(axis=0) if bias else g)
 
-    return _node(a.data + b.data, (a, b), bwd, "add")
+    return _node(a.data + b.data, (a, b), bwd)
 
 
 def _affine(x: Tensor, w: Tensor, b: Tensor) -> np.ndarray:
@@ -172,7 +171,7 @@ def _affine_bwd(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray):
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """`x @ w + b` with a 1-D bias `b`: the bytes of `add(matmul(x, w), b)` in one node."""
-    return _node(_affine(x, w, b), (x, w, b), lambda g: _affine_bwd(x, w, b, g), "linear")
+    return _node(_affine(x, w, b), (x, w, b), lambda g: _affine_bwd(x, w, b, g))
 
 
 # The activations' math, shared by the standalone ops and the fused
@@ -221,13 +220,13 @@ def _sigmoid_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def relu(x: Tensor) -> Tensor:
     y = _relu_values(x.data)
-    return _node(y, (x,), lambda g: _accumulate(x, _relu_grad(g, y)), "relu")
+    return _node(y, (x,), lambda g: _accumulate(x, _relu_grad(g, y)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Elementwise logistic function; see `_sigmoid_values` for the overflow-safe form."""
     y = _sigmoid_values(x.data)
-    return _node(y, (x,), lambda g: _accumulate(x, _sigmoid_grad(g, y)), "sigmoid")
+    return _node(y, (x,), lambda g: _accumulate(x, _sigmoid_grad(g, y)))
 
 
 def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -239,7 +238,7 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     z = _affine(x, w, b)
     y = _relu_values(z, out=z)
-    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _relu_grad(g, y)), "linear_relu")
+    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _relu_grad(g, y)))
 
 
 def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -247,7 +246,7 @@ def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     as `linear_relu` does; backward takes the derivative from the output."""
     z = _affine(x, w, b)
     y = _sigmoid_values(z, out=z)
-    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _sigmoid_grad(g, y)), "linear_sigmoid")
+    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _sigmoid_grad(g, y)))
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -262,7 +261,7 @@ def softmax(x: Tensor) -> Tensor:
         dot = (g * y).sum(axis=1, keepdims=True)
         _accumulate(x, y * (g - dot))
 
-    return _node(y, (x,), bwd, "softmax")
+    return _node(y, (x,), bwd)
 
 
 def concat(a: Tensor, b: Tensor) -> Tensor:
@@ -277,7 +276,7 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             _accumulate(b, g[:, split:])
 
-    return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd, "concat")
+    return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
 
 
 def gated_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
@@ -309,7 +308,7 @@ def gated_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             _accumulate(a, up * g.data)
 
-    return _node(y, (g, a, b), bwd, "gated_mix")
+    return _node(y, (g, a, b), bwd)
 
 
 def scalar_mul(c: float, x: Tensor) -> Tensor:
@@ -318,12 +317,12 @@ def scalar_mul(c: float, x: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(x, c * g)
 
-    return _node(c * x.data, (x,), bwd, "scalar_mul")
+    return _node(c * x.data, (x,), bwd)
 
 
 def stop_grad(x: Tensor) -> Tensor:
     """Graph node that passes the value through and blocks all gradient."""
-    return Tensor(x.data, requires_grad=False, op="stop_grad")
+    return Tensor(x.data, requires_grad=False)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +350,7 @@ def js_loss_node(p: Tensor, q: Tensor) -> Tensor:
         if q.requires_grad:
             _accumulate(q, scale * (np.log(np.maximum(q.data, GRAD_LOG_FLOOR)) - log_m))
 
-    return _node(np.asarray(value), (p, q), bwd, "js_loss")
+    return _node(np.asarray(value), (p, q), bwd)
 
 
 def soft_ce_node(s: Tensor, targets: np.ndarray, class_weights: np.ndarray) -> Tensor:
@@ -375,5 +374,5 @@ def soft_ce_node(s: Tensor, targets: np.ndarray, class_weights: np.ndarray) -> T
         grad = np.where(s.data > GRAD_LOG_FLOOR, -class_weights * targets / clamped, 0.0)
         _accumulate(s, float(g) * grad / batch)
 
-    return _node(np.asarray(value), (s,), bwd, "soft_ce")
+    return _node(np.asarray(value), (s,), bwd)
 

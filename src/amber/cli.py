@@ -21,7 +21,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
-from .dataio import SynthConfig, fold_split, generate_synthetic, load_jsonl, save_jsonl, write_text_atomic
+from .dataio import (SynthConfig, check_keys, fold_split, generate_synthetic, load_jsonl, read_json, save_jsonl,
+                     write_text_atomic)
 from .errors import DataValidationError, NumericalAbortError, WorkerDiedError
 from .losses import EXPERT_SUPERVISION, MAI_EXPERT_GRAD, LossConfig
 from .model import ModelConfig
@@ -153,17 +154,14 @@ def _write_json(path, blob):
 
 
 def _load_config_file(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except ValueError as exc:
-            raise DataValidationError(f"malformed JSON config ({exc})", path=path) from None
-        except RecursionError:
-            raise DataValidationError("malformed JSON config (nested too deeply)", path=path) from None
-    if isinstance(blob, dict) and "config" in blob and "command" in blob:
-        blob = blob["config"]  # accept a prior manifest
-    if not isinstance(blob, dict):
-        raise DataValidationError("config file must hold a JSON object", path=path)
+    try:
+        blob = read_json(Path(path).read_bytes())
+        if isinstance(blob, dict) and "config" in blob and "command" in blob:
+            blob = blob["config"]  # accept a prior manifest
+        if not isinstance(blob, dict):
+            raise ValueError("expected a JSON object")
+    except ValueError as exc:
+        raise DataValidationError(f"invalid config: {exc}", path=path) from None
     return blob
 
 
@@ -180,9 +178,10 @@ def _typed(key, value, typ, parser):
 
 def _resolve_train_config(ns, parser):
     file_cfg = _load_config_file(ns.config) if ns.config else {}
-    unknown = set(file_cfg) - set(TRAIN_OPTIONS)
-    if unknown:
-        parser.error(f"unknown config keys: {sorted(unknown)}")
+    try:
+        check_keys(file_cfg, (), TRAIN_OPTIONS, "config keys")
+    except ValueError as exc:
+        parser.error(str(exc))
     flags = {key: value for key, value in vars(ns).items() if key in TRAIN_OPTIONS and value is not None}
     values = {**TRAIN_DEFAULTS, **file_cfg, **flags}
     resolved = {key: None if key == "folds" and values[key] is None else _typed(key, values[key], typ, parser)
@@ -303,9 +302,6 @@ def cmd_eval(ns, parser):
                 for k in ("dim_a", "dim_t", "n_classes") if getattr(model_cfg, k) != getattr(ds, k)]
     if mismatch:
         raise DataValidationError(f"checkpoint and dataset differ: {', '.join(mismatch)}", path=ns.data)
-    for key, typ in (("system", str), ("fold", int), ("seed", int)):
-        if key in provenance and type(provenance[key]) is not typ:
-            raise DataValidationError(f"provenance {key!r} must be {typ.__name__}", path=ns.checkpoint)
     if ns.split == "all":
         subset = ds
     else:

@@ -237,6 +237,48 @@ def write_text_atomic(path, text):
         raise
 
 
+def _decode(data, path=None):
+    """UTF-8 `data` as text; a byte that is not UTF-8 raises a `DataValidationError` naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DataValidationError(f"invalid UTF-8 ({exc.reason})", line=line, path=path) from None
+
+
+def read_json(data, path=None, line=None):
+    """The JSON value in `data`, UTF-8 bytes or text: the one JSON reader of every input.
+
+    A fault raises a `DataValidationError` naming `path` and the line where
+    the decoder stopped, counted from `line` (the file line `data` is, None
+    for a whole file); a literal too long or nesting too deep names `line`.
+    """
+    text = _decode(data, path) if isinstance(data, bytes) else data
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason, line = exc.msg, (line or 1) + exc.lineno - 1
+    except ValueError:  # an integer literal longer than int() converts
+        reason = "integer literal too long"
+    except RecursionError:
+        reason = "nested too deeply"
+    raise DataValidationError(f"malformed JSON ({reason})", line=line, path=path) from None
+
+
+def check_keys(obj, required=(), optional=(), what="keys"):
+    """Raise `ValueError` unless `obj` is a dict holding every key of `required`
+    and no key outside `required` and `optional`; `what` names the keys, as in
+    "unknown config keys: ['data']"."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object of {what}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ValueError(f"missing {what}: {missing}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+
+
 def save_jsonl(ds: Dataset, path):
     """Write the dataset in record order, atomically; floats round-trip exactly via repr."""
     header = {
@@ -287,16 +329,11 @@ def load_jsonl(path) -> Dataset:
 
 def _parse(data, path, digest):
     """The dataset in `data`, the bytes of `path` whose sha256 is `digest`, checked line by line."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise DataValidationError(f"invalid UTF-8 ({exc.reason})", line=line, path=path) from None
-    lines = text.splitlines()
+    lines = _decode(data, path).splitlines()
     if not lines:
         raise DataValidationError("empty dataset file", path=path)
 
-    header = _parse_json(lines[0], 1, path)
+    header = _read_object(lines[0], 1, path)
     if header.get("schema") != SCHEMA:
         raise DataValidationError(f"unknown schema {header.get('schema')!r}", line=1, path=path)
     for key in ("C", "dim_a", "dim_t", "folds"):
@@ -319,7 +356,7 @@ def _parse(data, path, digest):
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        record = _parse_json(raw, line_no, path)
+        record = _read_object(raw, line_no, path)
         sample_id = _parse_record(record, len(ids), h_a, h_t, votes, line_no, path)
         if sample_id in seen_ids:
             raise DataValidationError(f"duplicate id {sample_id!r}", line=line_no, path=path)
@@ -332,15 +369,8 @@ def _parse(data, path, digest):
     return Dataset(np.array(ids, dtype=object), h_a[:n], h_t[:n], votes[:n], folds, digest)
 
 
-def _parse_json(raw, line_no, path):
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise DataValidationError(f"malformed JSON ({exc.msg})", line=line_no, path=path) from None
-    except ValueError:  # an integer literal longer than int() converts
-        raise DataValidationError("malformed JSON (integer literal too long)", line=line_no, path=path) from None
-    except RecursionError:
-        raise DataValidationError("malformed JSON (nested too deeply)", line=line_no, path=path) from None
+def _read_object(raw, line_no, path):
+    value = read_json(raw, path, line_no)
     if not isinstance(value, dict):
         raise DataValidationError("expected a JSON object", line=line_no, path=path)
     return value
@@ -432,16 +462,15 @@ def _read_cache(cache, digest):
         with open(cache, "rb") as fh:
             data = fh.read()
         end = data.index(b"\n")
-        blob = json.loads(data[:end])
-    except (OSError, ValueError, RecursionError):  # ValueError: no newline, or a header that is not JSON
+        blob = read_json(data[:end])
+        check_keys(blob, ("format", "sha256", "C", "dim_a", "dim_t", "folds", "ids"))
+    except (OSError, ValueError):  # ValueError: no newline, or a header that is not JSON or has other keys
         return None
-    if not isinstance(blob, dict) or blob.get("format") != CACHE_FORMAT or blob.get("sha256") != digest:
+    if blob["format"] != CACHE_FORMAT or blob["sha256"] != digest:
         return None
-    dims = [blob.get(key) for key in ("C", "dim_a", "dim_t", "folds")]
-    ids = blob.get("ids")
-    if any(type(v) is not int for v in dims) or not isinstance(ids, list):
+    n_classes, dim_a, dim_t, folds, ids = (blob[key] for key in ("C", "dim_a", "dim_t", "folds", "ids"))
+    if any(type(v) is not int for v in (n_classes, dim_a, dim_t, folds)) or not isinstance(ids, list):
         return None
-    n_classes, dim_a, dim_t, folds = dims
     rows = len(ids)
     if n_classes < 2 or dim_a < 1 or dim_t < 1 or not 1 <= folds <= rows:
         return None

@@ -2,10 +2,10 @@
 
 
 class DataValidationError(ValueError):
-    """Raised when a dataset file or record fails validation.
+    """Raised when an input file (dataset, config, checkpoint, report) fails validation.
 
-    `line` is the 1-based line number in the offending JSONL file when the
-    failure is attributable to a specific record.
+    `line` is the 1-based line number in the offending file when the
+    failure is attributable to a specific line.
     """
 
     def __init__(self, message, line=None, path=None):

@@ -16,11 +16,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import distlib
-from .dataio import write_text_atomic
+from .dataio import check_keys, read_json, write_text_atomic
 from .errors import DataValidationError
 
 METRIC_ORDER = ("JS", "BC", "R2", "R2_raw", "F1_macro", "WF1", "ACC")
@@ -282,44 +283,30 @@ def _is_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _check_keys(blob, known, what):
-    unknown = set(blob) - set(known)
-    if unknown:
-        raise ValueError(f"unknown {what}: {sorted(unknown)}")
-
-
-def _check_metric_cells(metrics):
-    if not isinstance(metrics, dict):
-        raise TypeError("'metrics' must be an object")
-    _check_keys(metrics, METRIC_ORDER, "metric names")
-    for name, cell in metrics.items():
-        if not (isinstance(cell, dict) and _is_number(cell.get("mean")) and _is_number(cell.get("std"))):
-            raise TypeError(f"metric {name!r} needs a number 'mean' and 'std'")
-        _check_keys(cell, ("mean", "std", "n"), f"keys in metric {name!r}")
-        if not (type(cell.get("n")) is int and cell["n"] >= 1):
-            raise TypeError(f"metric {name!r} needs a positive int 'n'")
-
-
 def load_report(path):
-    """Read back a JSON report: (reports, aggregate), with every aggregate key and cell checked."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-            reports = [EvalReport(**r) for r in blob["reports"]]
-            if not all(isinstance(r.system, str) for r in reports):
-                raise TypeError("a report needs a string 'system'")
-            summary = blob["aggregate"]
-            if not isinstance(summary["bins"], list):
-                raise TypeError("aggregate needs a 'bins' list")
-            _check_keys(summary, ("metrics", "bins"), "aggregate keys")
-            _check_metric_cells(summary["metrics"])
-            for row in summary["bins"]:
-                if not isinstance(row, dict) or not all(_is_number(row.get(k)) for k in ("lo", "hi")):
-                    raise TypeError("a bin row must be an object with number 'lo' and 'hi'")
-                _check_keys(row, ("bin", "count", "metrics", "lo", "hi"), "bin row keys")
-                _check_metric_cells(row["metrics"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise DataValidationError(f"not a report file ({type(exc).__name__}: {exc})", path=path) from None
-        except RecursionError:
-            raise DataValidationError("not a report file (malformed JSON: nested too deeply)", path=path) from None
-    return reports, summary
+    """Read back a JSON report: (reports, aggregate), with every key and aggregate cell checked."""
+    try:
+        blob = read_json(Path(path).read_bytes())
+        check_keys(blob, ("reports", "aggregate"), (), "report keys")
+        runs, summary = blob["reports"], blob["aggregate"]
+        check_keys(summary, ("metrics", "bins"), (), "aggregate keys")
+        if not (isinstance(runs, list) and isinstance(summary["bins"], list)):
+            raise ValueError("'reports' and the aggregate's 'bins' must be lists")
+        for run in runs:
+            check_keys(run, ("system", "fold", "seed", "metrics"), ("bins", "provenance"), "run keys")
+            if not isinstance(run["system"], str):
+                raise ValueError("a run needs a string 'system'")
+        for row in summary["bins"]:
+            check_keys(row, ("lo", "hi", "metrics"), ("bin", "count"), "bin row keys")
+            if not (_is_number(row["lo"]) and _is_number(row["hi"])):
+                raise ValueError("a bin row needs number 'lo' and 'hi'")
+        for metrics in [summary["metrics"]] + [row["metrics"] for row in summary["bins"]]:
+            check_keys(metrics, (), METRIC_ORDER, "metric names")
+            for name, cell in metrics.items():
+                check_keys(cell, ("mean", "std", "n"), (), f"keys in metric {name!r}")
+                if not (_is_number(cell["mean"]) and _is_number(cell["std"]) and type(cell["n"]) is int
+                        and cell["n"] >= 1):
+                    raise ValueError(f"metric {name!r} needs a number 'mean' and 'std' and a positive int 'n'")
+    except ValueError as exc:
+        raise DataValidationError(f"invalid report: {exc}", path=path) from None
+    return [EvalReport(**run) for run in runs], summary

@@ -20,11 +20,12 @@ import base64
 import json
 import math
 from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .dataio import write_text_atomic
+from .dataio import check_keys, read_json, write_text_atomic
 from .errors import DataValidationError, NumericalAbortError
 
 MODALITIES = ("a", "t", "at")
@@ -254,81 +255,57 @@ def _encode_array(arr) -> str:
     return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8")).decode("ascii")
 
 
-def _decode_array(text, shape) -> np.ndarray:
-    """The writable native-order float64 array of `shape` that `_encode_array` wrote as `text`.
-
-    Raises `ValueError` if `text` is not a base64 string of exactly the bytes
-    `shape` needs; its message reads on from "data", as in "data is not
-    valid base64".
-    """
+def _decode_array(text, shape, name) -> np.ndarray:
+    """The writable native-order float64 array of `shape` that `_encode_array` wrote as `text`;
+    `ValueError` naming parameter `name` if `text` is not base64 of exactly the bytes `shape` needs."""
     if not isinstance(text, str):
-        raise ValueError("must be a base64 string")
+        raise ValueError(f"parameter {name!r} data must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError:
-        raise ValueError("is not valid base64") from None
+        raise ValueError(f"parameter {name!r} data is not valid base64") from None
     need = 8 * math.prod(shape)
     if len(raw) != need:
-        raise ValueError(f"holds {len(raw)} bytes, its shape needs {need}")
+        raise ValueError(f"parameter {name!r} data holds {len(raw)} bytes, its shape needs {need}")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 def load_checkpoint(path):
     """(config, params, provenance) of a checkpoint written by `save_checkpoint`.
 
-    A file of any other structure, keys, entry types, values or shapes
-    raises a `DataValidationError` naming the file.
+    A file of any other structure, keys, entry types, values or shapes, or whose
+    provenance has a `system` that is not a string or a `fold` or `seed` that is
+    not an integer, raises one `DataValidationError` naming the file.
     """
-
-    def invalid(message):
-        return DataValidationError(f"invalid checkpoint: {message}", path=path)
-
-    def check_keys(obj, required, optional, what):
-        if not isinstance(obj, dict):
-            raise invalid(f"{what} must be a JSON object")
-        missing = sorted(set(required) - set(obj))
-        unknown = sorted(set(obj) - set(required) - set(optional))
-        if missing:
-            raise invalid(f"{what} lacks keys {missing}")
-        if unknown:
-            raise invalid(f"{what} has unknown keys {unknown}")
-
     try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except ValueError as exc:
-        raise invalid(f"malformed JSON ({exc})") from None
-    except RecursionError:
-        raise invalid("malformed JSON (nested too deeply)") from None
-    check_keys(blob, ("format", "config", "params"), ("provenance",), "checkpoint")
-    if blob["format"] != CHECKPOINT_FORMAT:
-        raise invalid(f"unsupported format {blob['format']!r}")
-    config = blob["config"]
-    check_keys(config, [f.name for f in fields(ModelConfig)], (), "config")
-    for name, value in config.items():
-        if type(value) is not (str if name == "student" else int):
-            raise invalid(f"config {name!r} has the wrong type: {value!r}")
-    try:
+        blob = read_json(Path(path).read_bytes())
+        check_keys(blob, ("format", "config", "params"), ("provenance",), "checkpoint keys")
+        if blob["format"] != CHECKPOINT_FORMAT:
+            raise ValueError(f"unsupported format {blob['format']!r}")
+        config = blob["config"]
+        check_keys(config, [f.name for f in fields(ModelConfig)], (), "config keys")
+        for name, value in config.items():
+            if type(value) is not (str if name == "student" else int):
+                raise ValueError(f"config {name!r} has the wrong type: {value!r}")
         cfg = ModelConfig(**config)
-    except ValueError as exc:
-        raise invalid(str(exc)) from None
-    provenance = blob.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise invalid("provenance must be a JSON object")
+        provenance = blob.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("provenance must be a JSON object")
+        for key, typ in (("system", str), ("fold", int), ("seed", int)):
+            if key in provenance and type(provenance[key]) is not typ:
+                raise ValueError(f"provenance {key!r} must be {typ.__name__}")
 
-    expected = param_shapes(cfg)
-    check_keys(blob["params"], expected, (), "params")
-    params = {}
-    for name, shape in expected.items():
-        entry = blob["params"][name]
-        check_keys(entry, ("shape", "data"), (), f"parameter {name!r}")
-        if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
-            raise invalid(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
-        try:
-            arr = _decode_array(entry["data"], shape)
-        except ValueError as exc:
-            raise invalid(f"parameter {name!r} data {exc}") from None
-        if not np.all(np.isfinite(arr)):
-            raise invalid(f"non-finite values in parameter {name!r}")
-        params[name] = arr
+        expected = param_shapes(cfg)
+        check_keys(blob["params"], expected, (), "params")
+        params = {}
+        for name, shape in expected.items():
+            entry = blob["params"][name]
+            check_keys(entry, ("shape", "data"), (), f"keys of parameter {name!r}")
+            if entry["shape"] != list(shape) or any(type(v) is not int for v in entry["shape"]):
+                raise ValueError(f"parameter {name!r} has shape {entry['shape']!r}, its config needs {list(shape)}")
+            params[name] = _decode_array(entry["data"], shape, name)
+            if not np.all(np.isfinite(params[name])):
+                raise ValueError(f"non-finite values in parameter {name!r}")
+    except ValueError as exc:
+        raise DataValidationError(f"invalid checkpoint: {exc}", path=path) from None
     return cfg, params, provenance

@@ -43,7 +43,7 @@ def elementwise_mul(a, b):
         if b.requires_grad:
             ad._accumulate(b, g * a.data)
 
-    return ad._node(a.data * b.data, (a, b), bwd, "elementwise_mul")
+    return ad._node(a.data * b.data, (a, b), bwd)
 
 
 def mean(x):
@@ -53,7 +53,7 @@ def mean(x):
     def bwd(g):
         ad._accumulate(x, np.full_like(x.data, float(g) / n))
 
-    return ad._node(np.asarray(x.data.mean()), (x,), bwd, "mean")
+    return ad._node(np.asarray(x.data.mean()), (x,), bwd)
 
 
 @dataclass

@@ -654,21 +654,42 @@ def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_p
             assert err.startswith("amber: data validation error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("command", ["eval", "compare", "bins", "train"])
+# fault -> (file bytes, the reason its one stderr line holds; {line} is "line 1: " or, on a dataset line, "line 2: ")
+_JSON_FAULTS = {
+    "truncated": (b'{"a": ', "{line}malformed JSON (Expecting value)"),
+    "0xff-byte": (b'{"a": "\xff"}', "{line}invalid UTF-8 (invalid start byte)"),
+    "5000-digits": (b'{"a": 1' + b"0" * 4999 + b"}", "malformed JSON (integer literal too long)"),
+    "nested-100000-deep": (b"[" * 100_000 + b"]" * 100_000, "malformed JSON (nested too deeply)"),
+    "top-level-array": (b"[1, 2]", "expected a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "compare", "bins", "train", "data"])
 def test_json_nested_too_deeply_exits_2_naming_the_file(dataset, tmp_path, capsys, command):
-    deep, good, out = tmp_path / "deep.json", tmp_path / "good.json", tmp_path / "out"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
+    """Every fault of `_JSON_FAULTS`, in the file one reader takes in, exits 2 with one line naming the file."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
     _write_report(good, {"JS": 0.2})
-    args = {
-        "eval": ["eval", "--checkpoint", str(deep), "--data", str(dataset), "--out-dir", str(out)],
-        "compare": ["compare", "--baseline", str(good), "--candidate", str(deep)],
-        "bins": ["bins", "--report", str(good), "--report", str(deep)],
-        "train": _train_args(dataset, out, **{"--config": deep}),
-    }[command]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"amber: data validation error: {deep}: ") and "nested too deeply" in err
-    assert not out.exists()
+    for fault, (text, reason) in _JSON_FAULTS.items():
+        out = tmp_path / f"out-{fault}"
+        args = {
+            "eval": ["eval", "--checkpoint", str(bad), "--data", str(dataset), "--out-dir", str(out)],
+            "compare": ["compare", "--baseline", str(good), "--candidate", str(bad)],
+            "bins": ["bins", "--report", str(good), "--report", str(bad)],
+            "train": _train_args(dataset, out, **{"--config": bad}),
+            "data": _train_args(bad, out),
+        }[command]
+        if command == "data":
+            text = _HEADER.encode() + b"\n" + text + b"\n"
+            reason = "line 2: " + reason.format(line="")
+        bad.write_bytes(text)
+        assert main(args) == 2, fault
+        err = capsys.readouterr().err
+        assert err.startswith(f"amber: data validation error: {bad}: ") and err.count("\n") == 1, (fault, err)
+        assert reason.format(line="line 1: ") in err, (fault, err)
+        for name in ("Traceback", "JSONDecodeError", "UnicodeDecodeError", "KeyError", "TypeError:"):
+            assert name not in err, (fault, err)
+        assert not out.exists(), fault
+
 
 def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
     missing, folder, out = str(tmp_path / "missing.jsonl"), str(tmp_path), str(tmp_path / "out")

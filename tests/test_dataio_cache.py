@@ -314,6 +314,9 @@ _DAMAGE = {
     "wrong-tag": lambda p: _edit_sidecar(p, format="amber-ds-cache-v0"),
     "wrong-digest": lambda p: _edit_sidecar(p, sha256="0" * 64),
     "bool-dim": lambda p: _edit_sidecar(p, dim_a=True),
+    "unknown-header-key": lambda p: _edit_sidecar(p, rows=6),
+    "missing-header-key": lambda p: _write_sidecar(p, {k: v for k, v in _read_sidecar(p)[0].items() if k != "folds"},
+                                                   _read_sidecar(p)[1]),
     "more-folds-than-rows": lambda p: _edit_sidecar(p, folds=7),
     "short-column": _short_column,
     "not-base64": _base64_body,

@@ -378,15 +378,18 @@ def test_any_mutant_checkpoint_loads_what_it_holds_or_raises_a_named_error(tmp_p
 
 @pytest.mark.parametrize("student", MODALITIES)
 def test_predict_runs_the_student_alone_byte_equal_to_forward_all(student):
-    cfg = ModelConfig(dim_a=5, dim_t=3, n_classes=4, hidden=7, fusion_dim=6, student=student)
-    params = init_params(cfg, 4)
-    rng = np.random.default_rng(5)
-    h_a, h_t = rng.standard_normal((50, 5)), rng.standard_normal((50, 3))
-    full = forward_all(wrap_params(params, requires_grad=False), ad.constant(h_a), ad.constant(h_t), cfg)
-    out = predict(params, cfg, h_a, h_t)
-    assert list(out) == [student]
-    assert out[student].dtype == full[student].data.dtype
-    assert out[student].tobytes() == full[student].data.tobytes()
+    # hidden and fusion width 8 is what CI and bench/smoke.py train at; 1667 rows span seven blocks
+    for dim_a, dim_t, hidden, fusion_dim, rows in ((5, 3, 7, 6, 50), (4, 4, 8, 8, 1667)):
+        cfg = ModelConfig(dim_a=dim_a, dim_t=dim_t, n_classes=4, hidden=hidden, fusion_dim=fusion_dim,
+                          student=student)
+        params = init_params(cfg, 4)
+        rng = np.random.default_rng(5)
+        h_a, h_t = rng.standard_normal((rows, dim_a)), rng.standard_normal((rows, dim_t))
+        full = forward_all(wrap_params(params, requires_grad=False), ad.constant(h_a), ad.constant(h_t), cfg)
+        out = predict(params, cfg, h_a, h_t)
+        assert list(out) == [student]
+        assert out[student].dtype == full[student].data.dtype
+        assert out[student].tobytes() == full[student].data.tobytes(), hidden
 
 
 @pytest.mark.parametrize("student", MODALITIES)
