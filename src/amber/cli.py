@@ -346,7 +346,8 @@ def cmd_compare(ns, parser):
     base_metrics, cand_metrics = base_agg["metrics"], cand_agg["metrics"]
     if set(base_metrics) != set(cand_metrics):
         missing = set(base_metrics) ^ set(cand_metrics)
-        raise DataValidationError(f"metric sets differ between reports: {sorted(missing)}")
+        raise DataValidationError(f"metric sets differ from baseline {ns.baseline}: {sorted(missing)}",
+                                  path=ns.candidate)
 
     rows = []
     for name in evalreport.METRIC_ORDER:
@@ -381,7 +382,8 @@ def cmd_bins(ns, parser):
         tables.append(agg["bins"])
     edges = [[[row["lo"], row["hi"]] for row in bins] for bins in tables]
     if edges[-1] != edges[0]:
-        raise DataValidationError(f"reports differ in their bin edges: {edges[0]} vs {edges[-1]}")
+        raise DataValidationError(f"bin edges differ from those of {ns.report[0]}: {edges[-1]} vs {edges[0]}",
+                                  path=ns.report[-1])
     if len(set(names)) < len(names):  # a run and its ablation: number the columns by --report
         names = [f"{name}#{k}" for k, name in enumerate(names, 1)]
 

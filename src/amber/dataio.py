@@ -31,9 +31,6 @@ SCHEMA = "amber-ds-v1"
 # sidecar written under the old ones is read.
 CACHE_FORMAT = "amber-ds-cache-v2"
 
-# Bytes per read while `load_jsonl` hashes a dataset file.
-HASH_CHUNK = 1 << 20
-
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
 Y_CROSSCHECK_TOL = 1e-6
@@ -300,26 +297,21 @@ def save_jsonl(ds: Dataset, path):
 def load_jsonl(path) -> Dataset:
     """Parse and validate a dataset file; every failure names its line.
 
-    The file is hashed (sha256) in chunks of `HASH_CHUNK` bytes. The
-    validated columns are cached in a sidecar `.<name>.amber-cache` next to
-    the file, keyed by that digest, so a load of unchanged bytes reads the
-    columns from there and never holds the whole file. Otherwise the file is
-    read whole, hashed again (the digest then names the very bytes parsed,
-    should the file have changed in between) and parsed. A sidecar that is
+    The file is read once and its bytes hashed (sha256). The validated
+    columns are cached in a sidecar `.<name>.amber-cache` next to the file,
+    keyed by that digest, so a load of unchanged bytes takes the columns
+    from there; otherwise the same bytes are parsed. A sidecar that is
     missing, unreadable, keyed to other bytes or failing its checks is
     ignored and rewritten after the parse; where it cannot be written (a
     read-only directory) the load goes on without it.
     """
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        while chunk := fh.read(HASH_CHUNK):
-            digest.update(chunk)
+        data = fh.read()
+    digest = hashlib.sha256(data).hexdigest()
     cache = Path(path).with_name(f".{Path(path).name}.amber-cache")
-    ds = _read_cache(cache, digest.hexdigest())
+    ds = _read_cache(cache, digest)
     if ds is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        ds = _parse(data, path, hashlib.sha256(data).hexdigest())
+        ds = _parse(data, path, digest)
         try:
             write_text_atomic(cache, _cache_bytes(ds))
         except OSError:

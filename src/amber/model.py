@@ -117,8 +117,12 @@ def head_hidden(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
 
 
 def head_output(tensors: dict, modality: str, hid: ad.Tensor) -> ad.Tensor:
-    """softmax(W2 @ hid + b2): the class distributions of head `modality` from its hidden layer."""
-    return ad.softmax(ad.linear(hid, tensors[f"{modality}.w2"], tensors[f"{modality}.b2"]))
+    """softmax(W2 @ hid + b2): the class distributions of head `modality` from its hidden layer.
+    A non-finite row (parameters too large) raises `NumericalAbortError`."""
+    out = ad.softmax(ad.linear(hid, tensors[f"{modality}.w2"], tensors[f"{modality}.b2"]))
+    if not np.all(np.isfinite(out.data)):
+        raise NumericalAbortError(f"non-finite output of head {modality!r}")
+    return out
 
 
 def head_forward(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
@@ -202,10 +206,7 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
                 hid[block] = hidden(block)
         else:
             hid = hidden(...)  # every row at once, so a malformed input fails as an unblocked pass does
-        rows = head_output(tensors, cfg.student, ad.constant(hid)).data
-    if not np.all(np.isfinite(rows)):
-        raise NumericalAbortError(f"non-finite output of head {cfg.student!r}")
-    return {cfg.student: rows}
+        return {cfg.student: head_output(tensors, cfg.student, ad.constant(hid)).data}
 
 
 def _row_blocks(n):

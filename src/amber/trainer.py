@@ -142,9 +142,6 @@ def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
     heads = MODALITIES if cfg.objective == "amber" else (cfg.model.student,)
     with np.errstate(**QUIET_OVERFLOW):
         outputs = forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg.model, heads)
-        for m, out in outputs.items():
-            if not np.all(np.isfinite(out.data)):
-                raise NumericalAbortError(f"non-finite output of head {m!r}")
         if cfg.objective == "amber":
             total, fields = amber_loss(y, outputs, cfg.loss, cfg.model.student)
         else:

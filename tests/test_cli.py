@@ -321,7 +321,8 @@ def test_compare_metric_set_mismatch_is_data_error(tmp_path, capsys):
     _write_report(a, {"JS": 0.2, "BC": 0.8})
     _write_report(b, {"JS": 0.2})
     assert main(["compare", "--baseline", str(a), "--candidate", str(b)]) == 2
-    assert "metric sets differ" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"amber: data validation error: {b}: metric sets differ from baseline {a}: ['BC']\n")
 
 
 def test_bins_command_prints_table(dataset, tmp_path, capsys):
@@ -349,7 +350,7 @@ def test_bins_rejects_reports_with_different_bin_edges(tmp_path, capsys):
     assert main(["bins", "--report", str(four), "--report", str(two), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("amber: data validation error: reports differ in their bin edges: ")
+    assert captured.err.startswith(f"amber: data validation error: {two}: bin edges differ from those of {four}: ")
     assert captured.err.count("\n") == 1
 
 

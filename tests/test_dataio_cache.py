@@ -366,6 +366,22 @@ def test_a_read_only_directory_loads_and_writes_no_file(dataset, monkeypatch):
         dataset.parent.chmod(stat.S_IRWXU)
 
 
+def test_a_cold_and_a_warm_load_each_open_the_dataset_once(dataset, monkeypatch):
+    real_open, opens = open, []
+
+    def counting_open(file, *args, **kwargs):
+        opens.append(Path(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "open", counting_open, raising=False)
+    for warm in (False, True):
+        assert _sidecar(dataset).exists() is warm
+        opens.clear()
+        ds = load_jsonl(dataset)
+        assert opens.count(dataset) == 1, warm
+        assert ds.sha256 == dataio.hashlib.sha256(dataset.read_bytes()).hexdigest()
+
+
 def test_cold_loads_write_identical_sidecar_bytes(dataset):
     other = dataset.with_name("other.jsonl")
     shutil.copy(dataset, other)

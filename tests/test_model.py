@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from amber import autodiff as ad
 from amber import model
-from amber.errors import DataValidationError
+from amber.errors import DataValidationError, NumericalAbortError
 from amber.model import (
     MODALITIES,
     ModelConfig,
@@ -374,6 +374,21 @@ def test_any_mutant_checkpoint_loads_what_it_holds_or_raises_a_named_error(tmp_p
         return
     assert not must_fail, f"loaded {text[:200]!r}"
     _assert_loads_what_the_file_holds(text, loaded)
+
+
+@pytest.mark.parametrize("student", MODALITIES)
+def test_an_overflowing_head_aborts_forward_all_and_predict_naming_it(student):
+    cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=3, hidden=5, fusion_dim=4, student=student)
+    params = init_params(cfg, 0)
+    params[f"{student}.b1"][:] = 10.0  # every hidden unit is active, so every logit overflows to inf
+    params[f"{student}.w2"][:] = 1e308
+    rng = np.random.default_rng(6)
+    h_a, h_t = 1e-3 * rng.standard_normal((7, 3)), 1e-3 * rng.standard_normal((7, 4))
+    message = f"non-finite output of head {student!r}"
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbortError, match=message):
+        forward_all(wrap_params(params, requires_grad=False), ad.constant(h_a), ad.constant(h_t), cfg)
+    with pytest.raises(NumericalAbortError, match=message):
+        predict(params, cfg, h_a, h_t)
 
 
 @pytest.mark.parametrize("student", MODALITIES)
