@@ -21,8 +21,7 @@ _EXPORTS = {
     "errors": ("DataValidationError", "NumericalAbortError"),
     "evalreport": ("EvalReport", "all_metrics", "ambiguity_bins", "dist_metrics", "emit_report"),
     "losses": ("LossConfig", "amber_loss", "cbce_loss", "class_weights_from", "expert_weights"),
-    "model": ("ModelConfig", "forward_all", "fuse", "head_forward", "init_params", "load_checkpoint",
-              "save_checkpoint"),
+    "model": ("ModelConfig", "forward_all", "fuse", "init_params", "load_checkpoint", "save_checkpoint"),
     "trainer": ("OptState", "RunRecord", "TrainConfig", "cross_validate", "init_opt_state", "opt_step", "train_one"),
 }
 _SUBMODULES = ("autodiff", *_EXPORTS)

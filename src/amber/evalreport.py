@@ -48,8 +48,9 @@ def _as_matrices(preds, targets):
 
     Rows are checked as a `SoftLabel` checks one: finite, non-negative and
     summing to one within `distlib.SUM_TOLERANCE`. Both must have the same
-    non-empty shape. Each public entry point checks once, then works on the
-    checked matrices.
+    non-empty shape. Each entry point checks its own inputs, so `all_metrics`
+    checks a pair again in `dist_metrics`, and `ambiguity_bins` each bin's rows
+    again in `all_metrics`: one O(n * C) pass each.
     """
     p, y = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     for m in (p, y):
@@ -70,10 +71,7 @@ def dist_metrics(preds, targets) -> dict:
     JS and BC are row means over rows renormalized once more, which keeps
     every report and log byte-identical.
     """
-    return _dist_metrics(*_as_matrices(preds, targets))
-
-
-def _dist_metrics(p, y):
+    p, y = _as_matrices(preds, targets)
     p_norm = p / p.sum(axis=1, keepdims=True)
     y_norm = y / y.sum(axis=1, keepdims=True)
     js = float(distlib.js_divergence_rows(p_norm, y_norm).mean())
@@ -115,11 +113,9 @@ def _cls_metrics(p, y):
 
 
 def all_metrics(preds, targets) -> dict:
-    return _all_metrics(*_as_matrices(preds, targets))
-
-
-def _all_metrics(p, y):
-    return {**_dist_metrics(p, y), **_cls_metrics(p, y)}
+    """`dist_metrics` and the argmax-label metrics of `_cls_metrics`, in `METRIC_ORDER`."""
+    p, y = _as_matrices(preds, targets)
+    return {**dist_metrics(p, y), **_cls_metrics(p, y)}
 
 
 def bin_edges(n_classes: int, n_bins: int) -> np.ndarray:
@@ -145,7 +141,7 @@ def ambiguity_bins(preds, targets, n_bins: int) -> list:
         mask = membership == b
         count = int(mask.sum())
         row = {"bin": b, "lo": float(edges[b]), "hi": float(edges[b + 1]), "count": count}
-        row["metrics"] = _all_metrics(p[mask], y[mask]) if count else None
+        row["metrics"] = all_metrics(p[mask], y[mask]) if count else None
         rows.append(row)
     return rows
 

@@ -45,14 +45,6 @@ class LossConfig:
             raise ValueError(f"mai_expert_grad must be 'detached' or 'coupled', got {self.mai_expert_grad!r}")
 
 
-def rai_loss(y: np.ndarray, s: ad.Tensor) -> ad.Tensor:
-    """Batch-mean JS divergence between soft labels and the student rows.
-
-    The labels are constants; gradient flows into the student only.
-    """
-    return ad.js_loss_node(ad.constant(y), s)
-
-
 def expert_weights(d: dict, kappa: float) -> dict:
     """Softmax of -kappa * divergence over the expert set.
 
@@ -79,8 +71,6 @@ def mai_loss(s: ad.Tensor, experts: dict, d: dict, cfg: LossConfig):
     value. Returns (scalar node, weights u); the loss is
     sum_m u_m * mean JS(s || p_m).
     """
-    if not experts:
-        raise ValueError("mai_loss needs a non-empty expert set")
     detach = cfg.mai_expert_grad == "detached"
     u = expert_weights(d, cfg.kappa)
     node = None
@@ -96,6 +86,8 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     total = lambda_rai * rai + lambda_mai * mai, plus a unit-weight JS pull
     of each expert toward the labels when expert_supervision = "rai" (the
     expert divergences are only informative if something trains the experts).
+    Each head gets one `ad.js_loss_node` against the constant labels: the
+    student's is rai, an expert's gives its divergence and its pull.
     A zero lambda_mai leaves the consistency term out of the total (its value
     is still logged), so the gradients reduce exactly to the rater term.
     The fields are the forward values `rai`, `mai`, `total`, each expert's `u_<m>`
@@ -107,7 +99,7 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
         raise ValueError(f"outputs must cover {MODALITIES}, got {sorted(outputs)}")
     s = outputs[student]
     experts = {m: outputs[m] for m in MODALITIES if m != student}
-    rai = {m: rai_loss(y, outputs[m]) for m in (student, *experts)}
+    rai = {m: ad.js_loss_node(ad.constant(y), outputs[m]) for m in (student, *experts)}
     total = ad.scalar_mul(cfg.lambda_rai, rai[student])
 
     d = {m: float(rai[m].data) for m in experts}
@@ -133,14 +125,13 @@ def cbce_loss(y: np.ndarray, s: ad.Tensor, class_weights: np.ndarray) -> ad.Tens
     return ad.soft_ce_node(s, np.asarray(y, dtype=np.float64), class_weights)
 
 
-def class_weights_from(train) -> np.ndarray:
-    """Inverse-frequency class weights from a training split, mean-normalized.
+def class_weights_from(y) -> np.ndarray:
+    """Inverse-frequency class weights from a training split's (n, C) soft labels, mean-normalized.
 
     freq_c is the share of total soft-label mass on class c; weights are
-    1 / max(freq_c, 1e-6) scaled so their mean is one. Accepts a Dataset or
-    a plain (n, C) matrix of soft labels.
+    1 / max(freq_c, 1e-6) scaled so their mean is one.
     """
-    y = np.asarray(getattr(train, "y", train), dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2 or y.shape[0] == 0:
         raise ValueError("class weights need a non-empty (n, C) label matrix")
     freq = y.sum(axis=0) / y.sum()

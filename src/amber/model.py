@@ -3,8 +3,8 @@
 Three heads produce class distributions: "a" and "t" consume their own
 embeddings, "at" consumes the gated fusion of both. Each head is a two-layer
 MLP (linear, ReLU, linear, softmax). One head is designated the student; the
-other two act as experts. Training and `predict` share each head's two steps,
-`head_hidden` and `head_output`; `predict` runs the first in row blocks.
+other two act as experts. A head is `head_hidden` then `head_output`, and
+`forward_all` and `predict` call both; `predict` runs the first in row blocks.
 
 A forward builds only the heads its caller reads: `forward_all` builds the
 `heads` it is given (all three by default, which the amber objective needs),
@@ -125,11 +125,6 @@ def head_output(tensors: dict, modality: str, hid: ad.Tensor) -> ad.Tensor:
     return out
 
 
-def head_forward(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
-    """p_m = softmax(W2 @ relu(W1 @ h + b1) + b2), rows are distributions."""
-    return head_output(tensors, modality, head_hidden(tensors, modality, h))
-
-
 def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
     """Gated fusion of the projected embeddings.
 
@@ -158,7 +153,7 @@ def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig,
     h = {"a": h_a, "t": h_t}
     if "at" in heads:
         h["at"] = fuse(tensors, h_a, h_t)
-    return {m: head_forward(tensors, m, h[m]) for m in MODALITIES if m in heads}
+    return {m: head_output(tensors, m, head_hidden(tensors, m, h[m])) for m in MODALITIES if m in heads}
 
 
 def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) -> dict:

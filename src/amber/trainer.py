@@ -76,7 +76,9 @@ def opt_step(params: dict, grads: dict, state: OptState, cfg: TrainConfig):
     """One decoupled-weight-decay adaptive-moment update of `params`.
 
     All gradients are checked before anything is touched, so a non-finite
-    gradient never corrupts the parameters. The moments are updated in
+    gradient never corrupts the parameters; an overflow in a moment or the update
+    (an inf second moment would make every later update 0) raises
+    `NumericalAbortError` before they are replaced. The moments are updated in
     place; gradients and the old parameter arrays are never written (the
     previous step's graph and the best-epoch snapshot may hold them). The new
     parameters are one fresh flat vector, and `params[name]` become reshaped
@@ -92,28 +94,32 @@ def opt_step(params: dict, grads: dict, state: OptState, cfg: TrainConfig):
     bias1 = 1.0 - BETA1**t
     bias2 = 1.0 - BETA2**t
     m, v = state.m, state.v
-    # m = BETA1 * m + (1 - BETA1) * g
-    m *= BETA1
-    tmp = np.multiply(g, 1.0 - BETA1)
-    m += tmp
-    # v = BETA2 * v + (1 - BETA2) * g * g
-    v *= BETA2
-    np.multiply(g, 1.0 - BETA2, out=tmp)
-    tmp *= g
-    v += tmp
-    # update = (m / bias1) / (sqrt(v / bias2) + EPS) + weight_decay * theta
-    np.divide(v, bias2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += EPS
-    update = np.divide(m, bias1, out=g)
-    update /= tmp
-    # a fresh copy, so writing it leaves the old parameter arrays as they were
-    theta = np.concatenate([np.ravel(params[name]) for name in params])
-    np.multiply(theta, cfg.weight_decay, out=tmp)
-    update += tmp
-    # theta = theta - lr * update
-    update *= cfg.lr
-    theta -= update
+    try:
+        with np.errstate(over="raise"):
+            # m = BETA1 * m + (1 - BETA1) * g
+            m *= BETA1
+            tmp = np.multiply(g, 1.0 - BETA1)
+            m += tmp
+            # v = BETA2 * v + (1 - BETA2) * g * g
+            v *= BETA2
+            np.multiply(g, 1.0 - BETA2, out=tmp)
+            tmp *= g
+            v += tmp
+            # update = (m / bias1) / (sqrt(v / bias2) + EPS) + weight_decay * theta
+            np.divide(v, bias2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += EPS
+            update = np.divide(m, bias1, out=g)
+            update /= tmp
+            # a fresh copy, so writing it leaves the old parameter arrays as they were
+            theta = np.concatenate([np.ravel(params[name]) for name in params])
+            np.multiply(theta, cfg.weight_decay, out=tmp)
+            update += tmp
+            # theta = theta - lr * update
+            update *= cfg.lr
+            theta -= update
+    except FloatingPointError:
+        raise NumericalAbortError("overflow in the AdamW step") from None
     offset = 0
     for name, old in params.items():
         params[name] = theta[offset : offset + old.size].reshape(old.shape)
@@ -162,7 +168,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
     train, val, test = fold_split(ds, fold)
     student = cfg.model.student
 
-    class_weights = class_weights_from(train) if cfg.objective == "cbce" else None
+    class_weights = class_weights_from(train.y) if cfg.objective == "cbce" else None
 
     ha_tr, ht_tr, y_tr = train.matrices()
     ha_val, ht_val, y_val = val.matrices()

@@ -492,14 +492,25 @@ def test_overflowing_forward_pass_in_eval_exits_3(dataset, tmp_path, capsys):
     assert not (out / "eval-report.json").exists()
 
 
-@pytest.mark.parametrize("command, jobs", [("train", 1), ("train", 2), ("eval", None)])
+# train flags that overflow: the forward pass after a step, the AdamW update
+# (lr * weight decay * theta), and the AdamW second moment (g * g), which
+# without a check would freeze the model at v = inf and exit 0
+OVERFLOWING_TRAIN_FLAGS = {
+    "train": {"--lr": "1e308"},
+    "adamw-update": {"--lr": "1e308", "--weight-decay": "1e300"},
+    "adamw-moment": {"--lambda-rai": "1e308", "--lambda-mai": "1e308"},
+}
+
+
+@pytest.mark.parametrize("command, jobs", [("train", 1), ("train", 2), ("eval", None), ("adamw-update", 1),
+                                           ("adamw-update", 2), ("adamw-moment", 1), ("adamw-moment", 2)])
 def test_a_numerical_abort_prints_one_stderr_line(dataset, tmp_path, command, jobs):
     # a fresh interpreter with warnings shown, so numpy's RuntimeWarnings would reach stderr
     if command == "eval":
         ckpt = _overflowing_checkpoint(tmp_path / "ckpt.json")
         args = ["eval", "--checkpoint", ckpt, "--data", dataset, "--out-dir", tmp_path / "ev"]
     else:
-        args = _train_args(dataset, tmp_path / "boom", **{"--lr": "1e308", "--jobs": jobs})
+        args = _train_args(dataset, tmp_path / "boom", **OVERFLOWING_TRAIN_FLAGS[command], **{"--jobs": jobs})
     proc = subprocess.run([sys.executable, "-m", "amber.cli", *map(str, args)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"}, timeout=120)
     assert proc.returncode == 3, proc.stderr

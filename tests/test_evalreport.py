@@ -201,6 +201,20 @@ def test_mixed_fixture_bin_assignment():
     assert sum(r["count"] for r in rows) == len(y)
 
 
+def test_each_bin_row_holds_all_metrics_of_its_rows_bit_for_bit():
+    # bins 0, 2 and 3 of [0, .5, 1, 1.5, 2] bits hold rows, bin 1 none
+    bin_of_row = [0, 0, 0, 2, 2, 2, 3, 3]
+    y = np.concatenate([_one_hot([0, 1, 3], 4),
+                        [[0.5, 0.25, 0.25, 0.0], [0.0, 0.25, 0.5, 0.25], [0.25, 0.0, 0.25, 0.5]],
+                        np.full((2, 4), 0.25)])
+    preds = np.random.default_rng(11).dirichlet(np.ones(4), size=len(y))
+    rows = ambiguity_bins(preds, y, 4)
+    for b, row in enumerate(rows):
+        members = [i for i, bin_ in enumerate(bin_of_row) if bin_ == b]
+        assert row["count"] == len(members)
+        assert row["metrics"] == (all_metrics(preds[members], y[members]) if members else None)
+
+
 def _fake_reports(n=3):
     rng = np.random.default_rng(7)
     reports = []

@@ -30,7 +30,7 @@ EXPORTS = {
     "cross_validate": "trainer", "dataio": None, "dist_metrics": "evalreport",
     "distlib": None, "emit_report": "evalreport", "errors": None, "evalreport": None,
     "expert_weights": "losses", "fold_split": "dataio", "forward_all": "model", "fuse": "model",
-    "generate_synthetic": "dataio", "head_forward": "model", "init_opt_state": "trainer",
+    "generate_synthetic": "dataio", "init_opt_state": "trainer",
     "init_params": "model", "load_checkpoint": "model", "load_jsonl": "dataio", "losses": None, "model": None,
     "opt_step": "trainer", "save_checkpoint": "model", "save_jsonl": "dataio", "train_one": "trainer",
     "trainer": None,
@@ -95,7 +95,7 @@ def test_train_at_one_job_never_imports_the_process_pool(dataset, tmp_path):
 
 def test_all_keeps_its_names_and_each_is_its_modules_own_object():
     assert amber.__all__ == list(EXPORTS)
-    assert len(amber.__all__) == 41 and sum(module is None for module in EXPORTS.values()) == 8
+    assert len(amber.__all__) == 40 and sum(module is None for module in EXPORTS.values()) == 8
     for name, module in EXPORTS.items():
         home = importlib.import_module(f"amber.{module or name}")
         assert getattr(amber, name) is (home if module is None else vars(home)[name]), name

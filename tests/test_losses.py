@@ -13,7 +13,6 @@ from amber.losses import (
     class_weights_from,
     expert_weights,
     mai_loss,
-    rai_loss,
 )
 from amber.model import ModelConfig, forward_all, init_params, wrap_params
 
@@ -39,19 +38,19 @@ def _micro_outputs(seed=0, batch=4, n_classes=3):
 
 def _divergences(y, experts):
     """Each expert's batch-mean JS from the labels, as `amber_loss` hands it to `mai_loss`."""
-    return {m: float(rai_loss(y, p).data) for m, p in experts.items()}
+    return {m: float(ad.js_loss_node(ad.constant(y), p).data) for m, p in experts.items()}
 
 
 def test_rai_zero_when_student_matches_labels():
     y = np.asarray([[0.5, 0.25, 0.25], [0.2, 0.2, 0.6]])
     s = ad.Tensor(y.copy(), requires_grad=True)
-    assert float(rai_loss(y, s).data) == 0.0
+    assert float(ad.js_loss_node(ad.constant(y), s).data) == 0.0
 
 
 def test_rai_one_hot_vs_uniform_fixture():
     y = np.asarray([[1.0, 0, 0, 0], [1.0, 0, 0, 0]])
     s = ad.constant(np.full((2, 4), 0.25))
-    assert abs(float(rai_loss(y, s).data) - JS_ONEHOT_VS_UNIFORM4) < 1e-12
+    assert abs(float(ad.js_loss_node(ad.constant(y), s).data) - JS_ONEHOT_VS_UNIFORM4) < 1e-12
 
 
 def test_rai_gradient_against_finite_differences():
@@ -60,7 +59,7 @@ def test_rai_gradient_against_finite_differences():
     logits = ad.Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
     def f(logits):
-        return rai_loss(y, ad.softmax(logits))
+        return ad.js_loss_node(ad.constant(y), ad.softmax(logits))
 
     assert grad_check(f, [logits], h=1e-4, tol=1e-4).passed
 
@@ -169,7 +168,7 @@ def test_amber_reduces_to_rai_when_mai_and_supervision_off():
     cfg, tensors, outputs, y = _micro_outputs(seed=7)
     loss_cfg = LossConfig(lambda_rai=1.0, lambda_mai=0.0, expert_supervision="none")
     total, _ = amber_loss(y, outputs, loss_cfg, "at")
-    direct = ad.scalar_mul(1.0, rai_loss(y, outputs["at"]))
+    direct = ad.scalar_mul(1.0, ad.js_loss_node(ad.constant(y), outputs["at"]))
     assert float(total.data) == float(direct.data)
 
     ad.backward(total)
@@ -296,7 +295,7 @@ def test_class_weights_from_dataset_split():
         SynthConfig(n_samples=50, n_classes=3, dim_a=4, dim_t=4, n_raters=5,
                     ambiguity_alpha=1.0, conflict_rate=0.2, noise_sigma=0.3, seed=0)
     )
-    w = class_weights_from(ds)
+    w = class_weights_from(ds.y)
     assert w.shape == (3,)
     assert abs(w.mean() - 1.0) < 1e-12
     with pytest.raises(ValueError):

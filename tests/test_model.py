@@ -17,7 +17,8 @@ from amber.model import (
     ModelConfig,
     forward_all,
     fuse,
-    head_forward,
+    head_hidden,
+    head_output,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -42,7 +43,7 @@ def test_zero_weights_give_uniform_rows():
     cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=5, hidden=6, fusion_dim=4)
     tensors = wrap_params(_zeros_params(cfg), requires_grad=False)
     h = ad.constant(np.random.default_rng(0).standard_normal((4, 3)))
-    out = head_forward(tensors, "a", h)
+    out = head_output(tensors, "a", head_hidden(tensors, "a", h))
     assert np.allclose(out.data, 0.2)
 
 
@@ -50,7 +51,7 @@ def test_head_rows_sum_to_one():
     cfg = ModelConfig(dim_a=3, dim_t=3, n_classes=4, hidden=5, fusion_dim=3)
     tensors = wrap_params(init_params(cfg, 1), requires_grad=False)
     h = ad.constant(np.random.default_rng(2).standard_normal((1, 3)) * 10)
-    out = head_forward(tensors, "a", h)
+    out = head_output(tensors, "a", head_hidden(tensors, "a", h))
     assert abs(out.data.sum() - 1.0) <= 1e-9
 
 
@@ -66,7 +67,8 @@ def test_head_matches_hand_evaluated_two_layer_formula():
     hidden = np.maximum(h @ params["a.w1"] + params["a.b1"], 0.0)
     expected = _np_softmax(hidden @ params["a.w2"] + params["a.b2"])
 
-    out = head_forward(wrap_params(params, requires_grad=False), "a", ad.constant(h))
+    tensors = wrap_params(params, requires_grad=False)
+    out = head_output(tensors, "a", head_hidden(tensors, "a", ad.constant(h)))
     assert np.max(np.abs(out.data - expected)) <= 1e-9
 
 
@@ -155,9 +157,9 @@ def test_dimension_and_input_validation():
     cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
     tensors = wrap_params(init_params(cfg, 0), requires_grad=False)
     with pytest.raises(ValueError):
-        head_forward(tensors, "a", ad.constant(np.zeros((2, 5))))
+        head_hidden(tensors, "a", ad.constant(np.zeros((2, 5))))
     with pytest.raises(ValueError):
-        head_forward(tensors, "a", ad.constant(np.full((2, 3), np.nan)))
+        head_hidden(tensors, "a", ad.constant(np.full((2, 3), np.nan)))
     with pytest.raises(ValueError):
         fuse(tensors, ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 4))))
     with pytest.raises(ValueError):

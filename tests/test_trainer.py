@@ -9,7 +9,7 @@ from amber import trainer as trainer_mod
 from amber.dataio import SynthConfig, generate_synthetic
 from amber.errors import NumericalAbortError
 from amber.evalreport import aggregate
-from amber.losses import LossConfig, class_weights_from, rai_loss
+from amber.losses import LossConfig, class_weights_from
 from amber.model import MODALITIES, ModelConfig
 from amber.trainer import TrainConfig, cross_validate, init_opt_state, opt_step, train_one
 
@@ -172,7 +172,7 @@ def test_amber_with_mai_off_matches_pure_rai_trajectory_bitwise(monkeypatch):
     baseline = train_one(ds, 0, 2, cfg)
 
     def rai_only(y, outputs, loss_cfg, student):
-        node = ad.scalar_mul(loss_cfg.lambda_rai, rai_loss(y, outputs[student]))
+        node = ad.scalar_mul(loss_cfg.lambda_rai, ad.js_loss_node(ad.constant(y), outputs[student]))
         return node, {"rai": float(node.data), "total": float(node.data)}
 
     monkeypatch.setattr(trainer_mod, "amber_loss", rai_only)
