@@ -20,12 +20,13 @@ that node's `grad` again, so only the leaves keep theirs and an interior
 gradient lives no longer than the step that consumes it. `stop_grad` is the
 one way to detach.
 
-Fused nodes: `linear` is `add(matmul(x, w), b)`, `linear_relu` and
-`linear_sigmoid` are `relu` and `sigmoid` of it, and `gated_mix` is the gated
-fusion `g * a + (1 - g) * b`, each as one node that gives the same bytes as
-the composite, forward and backward, in fewer arrays. A graph node keeps
-only the arrays its backward reads: the fused activations keep their output
-and not the pre-activation, which the composite's `linear` node would hold.
+Fused nodes: `linear` is `add(matmul(x, w), b)`, `linear_relu` is `relu` of
+it, and `gated_fusion` is the whole gated fusion of two inputs, each as one
+node that gives the same bytes as the composite, forward and backward, in
+fewer arrays. A graph node keeps only the arrays its backward reads:
+`linear_relu` keeps its output and not the pre-activation, and
+`gated_fusion` keeps its gate and output and recomputes the rest in
+backward from inputs that take no gradient.
 
 Gradient formulas clamp logarithm arguments at `GRAD_LOG_FLOOR`; forward
 values never clamp (the metric path must see exact zeros).
@@ -174,10 +175,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(_affine(x, w, b), (x, w, b), lambda g: _affine_bwd(x, w, b, g))
 
 
-# The activations' math, shared by the standalone ops and the fused
-# `linear_*` nodes. Each forward writes its result into `out` (a fresh array
-# when None, or its own input when that is an array the caller just made);
-# each backward reads only the activated output `y`.
+# The activations' math, shared by the standalone ops and the fused nodes.
+# Each forward writes its result into `out` (a fresh array when None, or its
+# own input when that is an array the caller just made); each backward reads
+# only the activated output `y`.
 
 
 def _relu_values(x: np.ndarray, out=None) -> np.ndarray:
@@ -212,8 +213,8 @@ def _sigmoid_values(x: np.ndarray, out=None) -> np.ndarray:
     return y
 
 
-def _sigmoid_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
-    dx = g * y
+def _sigmoid_grad(g: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    dx = np.multiply(g, y, out=out)
     dx *= 1.0 - y
     return dx
 
@@ -241,14 +242,6 @@ def linear_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _relu_grad(g, y)))
 
 
-def linear_sigmoid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """`sigmoid(linear(x, w, b))` in one node that keeps only its output,
-    as `linear_relu` does; backward takes the derivative from the output."""
-    z = _affine(x, w, b)
-    y = _sigmoid_values(z, out=z)
-    return _node(y, (x, w, b), lambda g: _affine_bwd(x, w, b, _sigmoid_grad(g, y)))
-
-
 def softmax(x: Tensor) -> Tensor:
     """Row-wise softmax over the class axis of a 2-D tensor."""
     if x.data.ndim != 2 or x.data.shape[1] == 0:
@@ -264,51 +257,49 @@ def softmax(x: Tensor) -> Tensor:
     return _node(y, (x,), bwd)
 
 
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concatenation of two matrices with equal batch size."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[0] != b.data.shape[0]:
-        raise ValueError(f"concat shape mismatch: {a.data.shape} vs {b.data.shape}")
-    split = a.data.shape[1]
+def gated_fusion(h_a: Tensor, h_t: Tensor, gate_w: Tensor, gate_b: Tensor,
+                 proj_a: Tensor, proj_t: Tensor) -> Tensor:
+    """`g * (h_a @ proj_a) + (1 - g) * (h_t @ proj_t)` with `g = sigmoid([h_a | h_t] @ gate_w + gate_b)`,
+    in one node that keeps only `g` and its output.
 
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g[:, :split])
-        if b.requires_grad:
-            _accumulate(b, g[:, split:])
-
-    return _node(np.concatenate([a.data, b.data], axis=1), (a, b), bwd)
-
-
-def gated_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """`g * a + (1 - g) * b` in two arrays it owns, `1 - g` recomputed in backward.
-
-    Bit-equal, forward and backward, to the composite
-    `add(elementwise_mul(g, a), elementwise_mul(add(ones, scalar_mul(-1, g)), b))`,
-    whose `elementwise_mul` is a test oracle in `tests/helpers.py`: each array
-    is built by the same float operations on the same operands in the same
-    order, and d/dg = -1 * (up * b) + up * a sums in the order the
-    composite's backward accumulates.
+    The inputs `h_a`, `h_t` take no gradient (`ValueError` if one requires it), so backward
+    recomputes `[h_a | h_t]` and both projections from them, finishing each parameter's gradient
+    before the next. Bit-equal, forward and backward, to the composite of `matmul`, `add`,
+    `sigmoid`, `scalar_mul` and the oracles `concat` and `elementwise_mul` in `tests/helpers.py`:
+    the same float operations on the same operands in the same order, with
+    d/dg = -1 * (up * (h_t @ proj_t)) + up * (h_a @ proj_a) summed as the composite sums it.
     """
-    if not g.data.shape == a.data.shape == b.data.shape:
-        raise ValueError(f"gated_mix shape mismatch: {g.data.shape}, {a.data.shape}, {b.data.shape}")
-    y = g.data * a.data
-    rest = 1.0 - g.data
-    rest *= b.data
+    if h_a.requires_grad or h_t.requires_grad:
+        raise ValueError("gated_fusion inputs take no gradient")
+    if h_a.data.ndim == h_t.data.ndim == 2 and len(h_a.data) != len(h_t.data):  # other shapes fail below
+        raise ValueError(f"batch sizes differ: {len(h_a.data)} vs {len(h_t.data)}")
+    g = _affine(constant(np.concatenate([h_a.data, h_t.data], axis=1)), gate_w, gate_b)
+    _sigmoid_values(g, out=g)
+    width = g.shape[1]
+    if proj_a.data.shape != (h_a.data.shape[1], width) or proj_t.data.shape != (h_t.data.shape[1], width):
+        raise ValueError(f"gated_fusion projections {proj_a.data.shape}, {proj_t.data.shape} do not fit "
+                         f"inputs {h_a.data.shape}, {h_t.data.shape} and gate width {width}")
+    y = np.multiply(g, h_a.data @ proj_a.data)  # `g * (... @ ...)` may swap the operands of a temporary
+    rest = 1.0 - g
+    rest *= h_t.data @ proj_t.data
     y += rest
 
     def bwd(up):
-        if b.requires_grad:
-            db = 1.0 - g.data
-            _accumulate(b, np.multiply(up, db, out=db))
-        if g.requires_grad:
-            dg = up * b.data
+        if proj_t.requires_grad:
+            _accumulate(proj_t, h_t.data.T @ np.multiply(up, 1.0 - g))
+        if proj_a.requires_grad:
+            _accumulate(proj_a, h_a.data.T @ (up * g))
+        if gate_w.requires_grad or gate_b.requires_grad:
+            dg = h_t.data @ proj_t.data
+            np.multiply(up, dg, out=dg)
             np.multiply(-1.0, dg, out=dg)
-            dg += up * a.data
-            _accumulate(g, dg)
-        if a.requires_grad:
-            _accumulate(a, up * g.data)
+            d = h_a.data @ proj_a.data
+            dg += np.multiply(up, d, out=d)
+            del d
+            cat = constant(np.concatenate([h_a.data, h_t.data], axis=1))
+            _affine_bwd(cat, gate_w, gate_b, _sigmoid_grad(dg, g, out=dg))
 
-    return _node(y, (g, a, b), bwd)
+    return _node(y, (h_a, h_t, gate_w, gate_b, proj_a, proj_t), bwd)
 
 
 def scalar_mul(c: float, x: Tensor) -> Tensor:

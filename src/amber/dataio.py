@@ -217,7 +217,9 @@ def write_text_atomic(path, text):
     same directory, which then replaces `path` (`os.replace`). A write that
     fails part-way, an iterable that raises included, leaves `path` as it
     was and removes the temporary file. This guards against a process that
-    stops or fails mid-write, not against power loss (no fsync).
+    stops or fails mid-write, not against power loss (no fsync). An
+    `OSError` with an errno is raised again naming `path`, not the
+    temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -229,8 +231,10 @@ def write_text_atomic(path, text):
             with open(tmp, "w", encoding="utf-8") as fh:
                 fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

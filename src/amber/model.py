@@ -10,8 +10,9 @@ A forward builds only the heads its caller reads: `forward_all` builds the
 `heads` it is given (all three by default, which the amber objective needs),
 and the fusion only for "at". The cbce objective and `predict` build the
 student alone, after the fusion if the student is "at". A head's first layer
-and the fusion gate are one fused node each (`ad.linear_relu`,
-`ad.linear_sigmoid`), which keeps only its activated output.
+is one fused node (`ad.linear_relu`) that keeps only its activated output,
+and the whole fusion is one node (`ad.gated_fusion`) that keeps only its
+gate and output.
 """
 
 from __future__ import annotations
@@ -131,14 +132,8 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
     g = sigmoid([h_a; h_t] @ W_g + b_g)
     h_at = g * (h_a @ W_a) + (1 - g) * (h_t @ W_t)
     """
-    if h_a.data.shape[0] != h_t.data.shape[0]:
-        raise ValueError(
-            f"batch sizes differ: {h_a.data.shape[0]} vs {h_t.data.shape[0]}"
-        )
-    gate = ad.linear_sigmoid(ad.concat(h_a, h_t), tensors["fuse.gate_w"], tensors["fuse.gate_b"])
-    proj_a = ad.matmul(h_a, tensors["fuse.proj_a"])
-    proj_t = ad.matmul(h_t, tensors["fuse.proj_t"])
-    h_at = ad.gated_mix(gate, proj_a, proj_t)
+    h_at = ad.gated_fusion(h_a, h_t, tensors["fuse.gate_w"], tensors["fuse.gate_b"],
+                           tensors["fuse.proj_a"], tensors["fuse.proj_t"])
     if not np.all(np.isfinite(h_at.data)):  # parameters too large: a numerical fault, not bad input
         raise NumericalAbortError("non-finite fused embedding")
     return h_at
@@ -270,8 +265,9 @@ def load_checkpoint(path):
     """(config, params, provenance) of a checkpoint written by `save_checkpoint`.
 
     A file of any other structure, keys, entry types, values or shapes, or whose
-    provenance has a `system` that is not a string or a `fold` or `seed` that is
-    not an integer, raises one `DataValidationError` naming the file.
+    provenance has a `system` that is not a string, a `fold` or `seed` that is
+    not an integer or a non-finite number anywhere, raises one
+    `DataValidationError` naming the file.
     """
     try:
         blob = read_json(Path(path).read_bytes())
@@ -290,6 +286,11 @@ def load_checkpoint(path):
         for key, typ in (("system", str), ("fold", int), ("seed", int)):
             if key in provenance and type(provenance[key]) is not typ:
                 raise ValueError(f"provenance {key!r} must be {typ.__name__}")
+        for key, value in provenance.items():  # NaN and Infinity parse, but would reach reports as non-JSON
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise ValueError(f"provenance {key!r} holds a non-finite number") from None
 
         expected = param_shapes(cfg)
         check_keys(blob["params"], expected, (), "params")

@@ -31,9 +31,17 @@ RELU_KINK_MARGIN = 1e-2
 # autodiff oracles
 
 
+def concat(a, b):
+    """Column-wise concatenation of two matrices that take no gradient."""
+    if a.requires_grad or b.requires_grad or a.data.ndim != 2 or b.data.ndim != 2 or len(a.data) != len(b.data):
+        raise ValueError(f"concat expects two constant matrices of equal rows: {a.data.shape} vs {b.data.shape}")
+    return ad.constant(np.concatenate([a.data, b.data], axis=1))
+
+
 def elementwise_mul(a, b):
-    """Elementwise product node: with `add` and `scalar_mul`, the composite
-    that `ad.gated_mix` must match byte for byte."""
+    """Elementwise product node: with `concat`, `matmul`, `add`, `sigmoid`
+    and `scalar_mul`, the composite that `ad.gated_fusion` must match byte
+    for byte."""
     if a.data.shape != b.data.shape:
         raise ValueError(f"elementwise_mul shape mismatch: {a.data.shape} vs {b.data.shape}")
 

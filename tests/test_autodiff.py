@@ -5,7 +5,7 @@ import pytest
 
 from amber import autodiff as ad
 
-from helpers import elementwise_mul, full_amber_grad_check, grad_check, mean
+from helpers import concat, elementwise_mul, full_amber_grad_check, grad_check, mean
 
 
 def _scalarizer(rng, shape):
@@ -65,25 +65,20 @@ def _op_case(name, rng):
         x = ad.Tensor(rng.standard_normal((4, 5)), requires_grad=True)
         down = _scalarizer(rng, (4, 5))
         return lambda x: down(ad.softmax(x)), [x]
-    if name == "concat":
-        rows = int(rng.integers(1, 5))
-        a = ad.Tensor(rng.standard_normal((rows, int(rng.integers(1, 5)))), requires_grad=True)
-        b = ad.Tensor(rng.standard_normal((rows, int(rng.integers(1, 5)))), requires_grad=True)
-        down = _scalarizer(rng, (rows, a.data.shape[1] + b.data.shape[1]))
-        return lambda a, b: down(ad.concat(a, b)), [a, b]
     if name == "elementwise_mul":
         shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
         a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
         down = _scalarizer(rng, shape)
         return lambda a, b: down(elementwise_mul(a, b)), [a, b]
-    if name == "gated_mix":
-        shape = (int(rng.integers(1, 5)), int(rng.integers(1, 5)))
-        g = ad.Tensor(rng.uniform(0.0, 1.0, size=shape), requires_grad=True)
-        a = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        b = ad.Tensor(rng.standard_normal(shape), requires_grad=True)
-        down = _scalarizer(rng, shape)
-        return lambda g, a, b: down(ad.gated_mix(g, a, b)), [g, a, b]
+    if name == "gated_fusion":
+        rows, dim_a, dim_t, width = (int(rng.integers(1, 5)) for _ in range(4))
+        h_a = ad.constant(rng.standard_normal((rows, dim_a)))
+        h_t = ad.constant(rng.standard_normal((rows, dim_t)))
+        params = [ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+                  for shape in ((dim_a + dim_t, width), (width,), (dim_a, width), (dim_t, width))]
+        down = _scalarizer(rng, (rows, width))
+        return lambda *p: down(ad.gated_fusion(h_a, h_t, *p)), params
     if name == "scalar_mul":
         c = float(rng.standard_normal())
         x = ad.Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -114,9 +109,8 @@ OP_NAMES = (
     "relu",
     "sigmoid",
     "softmax",
-    "concat",
     "elementwise_mul",
-    "gated_mix",
+    "gated_fusion",
     "scalar_mul",
     "mean",
     "js_loss",
@@ -168,15 +162,25 @@ def test_shape_mismatches_raise():
     with pytest.raises(ValueError):
         ad.add(a, ad.constant(np.zeros((3, 2))))
     with pytest.raises(ValueError):
-        ad.concat(a, ad.constant(np.zeros((3, 3))))
-    with pytest.raises(ValueError):
         ad.js_loss_node(a, ad.constant(np.zeros((2, 4))))
     with pytest.raises(ValueError):
         ad.linear(a, ad.constant(np.zeros((2, 4))), ad.constant(np.zeros(4)))
     with pytest.raises(ValueError):
         ad.linear(a, ad.constant(np.zeros((3, 4))), ad.constant(np.zeros(3)))
-    with pytest.raises(ValueError):
-        ad.gated_mix(a, b, ad.constant(np.zeros((3, 2))))
+
+
+def test_gated_fusion_rejects_misfit_shapes_and_inputs_that_take_gradient():
+    def fusion(rows_t=2, width_t=4, grad_input=False, gate_rows=5):
+        h_a = ad.Tensor(np.zeros((2, 2)), requires_grad=grad_input)
+        return ad.gated_fusion(h_a, ad.constant(np.zeros((rows_t, 3))), ad.constant(np.zeros((gate_rows, 4))),
+                               ad.constant(np.zeros(4)), ad.constant(np.zeros((2, 4))),
+                               ad.constant(np.zeros((3, width_t))))
+
+    assert fusion().data.shape == (2, 4)
+    # a projection of width 1 would broadcast against the gate if its shape went unchecked
+    for bad in ({"rows_t": 3}, {"width_t": 1}, {"grad_input": True}, {"gate_rows": 4}):
+        with pytest.raises(ValueError):
+            fusion(**bad)
 
 
 def test_js_loss_identical_inputs_zero_value_zero_grad():
@@ -232,18 +236,19 @@ def test_backward_releases_interior_gradients_and_leaves_keep_theirs():
     x = ad.constant(rng.standard_normal((4, 3)))
     w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
     b = ad.Tensor(rng.standard_normal(2), requires_grad=True)
-    v = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+    fusion = [ad.Tensor(rng.standard_normal(shape), requires_grad=True) for shape in ((6, 2), (2,), (3, 2), (3, 2))]
     h = ad.linear(x, w, b)
     gate = ad.sigmoid(h)
     hid = ad.relu(h)
-    mix = ad.gated_mix(gate, hid, v)
-    prod = elementwise_mul(mix, h)
+    fused = ad.gated_fusion(x, x, *fusion)
+    mix = ad.add(fused, hid)
+    prod = elementwise_mul(mix, gate)
     probs = ad.softmax(prod)
     out = ad.js_loss_node(probs, ad.constant(np.full((4, 2), 0.5)))
-    interior = (h, gate, hid, mix, prod, probs, out)
+    interior = (h, gate, hid, fused, mix, prod, probs, out)
     ad.backward(out)
     assert all(t.grad is None for t in interior)
-    for leaf in (w, b, v):
+    for leaf in (w, b, *fusion):
         assert leaf.grad is not None and leaf.grad.shape == leaf.data.shape
         assert np.any(leaf.grad != 0)
     assert x.grad is None
@@ -384,13 +389,10 @@ def _linear_relu_composite(x, w, b):
     return ad.relu(ad.linear(x, w, b))
 
 
-def _linear_sigmoid_composite(x, w, b):
-    return ad.sigmoid(ad.linear(x, w, b))
-
-
-def _gated_mix_composite(g, a, b):
-    inv_gate = ad.add(ad.constant(np.ones_like(g.data)), ad.scalar_mul(-1.0, g))
-    return ad.add(elementwise_mul(g, a), elementwise_mul(inv_gate, b))
+def _gated_fusion_composite(h_a, h_t, gate_w, gate_b, proj_a, proj_t):
+    gate = ad.sigmoid(ad.add(ad.matmul(concat(h_a, h_t), gate_w), gate_b))
+    inv_gate = ad.add(ad.constant(np.ones_like(gate.data)), ad.scalar_mul(-1.0, gate))
+    return ad.add(elementwise_mul(gate, ad.matmul(h_a, proj_a)), elementwise_mul(inv_gate, ad.matmul(h_t, proj_t)))
 
 
 def _fused_op_inputs():
@@ -401,14 +403,15 @@ def _fused_op_inputs():
             for special in (False, True):
                 lin = [rng.standard_normal((m, k)) * scale, rng.standard_normal((k, n)),
                        rng.standard_normal(n) * scale]
-                mix = [rng.uniform(0.0, 1.0, (m, n)), rng.standard_normal((m, n)) * scale,
-                       rng.standard_normal((m, n)) * scale]
+                k_t = k + (m < 128)  # unequal input widths, and the training widths at 128 rows
+                fusion = [rng.standard_normal((m, k)) * scale, rng.standard_normal((m, k_t)) * scale,
+                          rng.standard_normal((k + k_t, n)), rng.standard_normal(n) * scale,
+                          rng.standard_normal((k, n)), rng.standard_normal((k_t, n))]
                 up = rng.standard_normal((m, n))
                 if special:
-                    lin, mix = [_with_specials(rng, v) for v in lin], [_with_specials(rng, v) for v in mix]
+                    lin, fusion = [_with_specials(rng, v) for v in lin], [_with_specials(rng, v) for v in fusion]
                     up = _with_specials(rng, up, every=2)
-                yield {"linear": (lin, up), "linear_relu": (lin, up), "linear_sigmoid": (lin, up),
-                       "gated_mix": (mix, up)}
+                yield {"linear": (lin, up), "linear_relu": (lin, up), "gated_fusion": (fusion, up)}
     lin = ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(5, 2), _SPECIALS[3:5]],
            _SPECIALS[[5, 4, 2, 3]].reshape(2, 2))
     # pre-activations exactly 0.0, +-inf, NaN and +-tiny (one input, unit
@@ -417,17 +420,24 @@ def _fused_op_inputs():
     act = ([np.ones((1, 1)), _SPECIALS.reshape(1, 10), np.zeros(10)],
            np.array([[-1.0, 2.0, -3.0, np.nan, -0.0, 0.0, -5e-324, 4.0, -np.inf, 1.0]]))
     for case in (lin, act):
-        yield {"linear": case, "linear_relu": case, "linear_sigmoid": case}
+        yield {"linear": case, "linear_relu": case}
+    # specials everywhere; then gate pre-activations exactly 0.0, +-inf, NaN
+    # and +-tiny (unit inputs) and a text projection of NaNs of both signs;
+    # each under an upstream of NaNs of both signs
     nans, snan = _SPECIALS[[4, 5] * 5].reshape(2, 5), _SPECIALS[[5, 4] * 5].reshape(2, 5)
-    yield {"gated_mix": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(2, 5), nans], snan)}
+    yield {"gated_fusion": ([_SPECIALS.reshape(2, 5), _SPECIALS[::-1].reshape(2, 5), np.resize(_SPECIALS, (10, 5)),
+                             _SPECIALS[5:], np.resize(_SPECIALS[::-1], (5, 5)), np.resize(_SPECIALS[3:], (5, 5))],
+                            snan)}
+    yield {"gated_fusion": ([np.ones((2, 1)), np.ones((2, 1)), np.stack([_SPECIALS[:5], np.zeros(5)]), np.zeros(5),
+                             _SPECIALS[5:].reshape(1, 5), nans[:1]], snan)}
 
 
 @pytest.mark.parametrize("fused,composite", [(ad.linear, _linear_composite),
                                              (ad.linear_relu, _linear_relu_composite),
-                                             (ad.linear_sigmoid, _linear_sigmoid_composite),
-                                             (ad.gated_mix, _gated_mix_composite)],
-                         ids=["linear", "linear_relu", "linear_sigmoid", "gated_mix"])
+                                             (ad.gated_fusion, _gated_fusion_composite)],
+                         ids=["linear", "linear_relu", "gated_fusion"])
 def test_fused_ops_are_byte_equal_to_their_composites(fused, composite):
+    inputs = 2 if fused is ad.gated_fusion else 0  # leading operands that take no gradient
     for case in _fused_op_inputs():
         if fused.__name__ not in case:
             continue
@@ -435,9 +445,9 @@ def test_fused_ops_are_byte_equal_to_their_composites(fused, composite):
         up.setflags(write=False)
         results = []
         for build in (fused, composite):
-            leaves = [ad.Tensor(v.copy(), requires_grad=True) for v in operands]
+            leaves = [ad.Tensor(v.copy(), requires_grad=i >= inputs) for i, v in enumerate(operands)]
             with np.errstate(all="ignore"):  # inf - inf and the like are part of the cases
-                results.append(_route(build(*leaves), up, leaves))
+                results.append(_route(build(*leaves), up, leaves[inputs:]))
             assert all(_same_bytes(t.data, v) for t, v in zip(leaves, operands))
         for got, want in zip(*results):
             assert _same_bytes(got, want)

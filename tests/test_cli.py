@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import math
@@ -233,7 +234,7 @@ def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path
                  "--out-dir", str(tmp_path / "bad")]) == 2
     assert "invalid checkpoint" in capsys.readouterr().err
     provenance_cases = [{"system": [1, 2]}, {"seed": {"x": 1}}, {"fold": True}, {"fold": 0.0},
-                        {"seed": None}, {"system": 3}]
+                        {"seed": None}, {"system": 3}, {"note": math.nan}, {"extra": [1, {"x": -math.inf}]}]
     for split in ("test", "all"):
         for case in provenance_cases:
             blob = json.loads(ckpt.read_text())
@@ -716,6 +717,18 @@ def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
         assert main(args) == 2, args
         assert "amber: " in capsys.readouterr().err, args
     assert not (tmp_path / "out").exists()
+    # an output that cannot be written: the error names it, not the temporary file beside it
+    report, in_missing, a_folder = tmp_path / "report.json", tmp_path / "missing" / "x.csv", tmp_path / "w"
+    _write_report(report, {"JS": 0.2})
+    a_folder.mkdir()
+    for args, out, code in [
+        (["compare", "--baseline", str(report), "--candidate", str(report)], in_missing, errno.ENOENT),
+        (["bins", "--report", str(report)], a_folder, errno.EISDIR),
+    ]:
+        before = sorted(os.listdir(tmp_path))
+        assert main(args + ["--out", str(out)]) == 2, args
+        assert capsys.readouterr().err == f"amber: [Errno {code}] {os.strerror(code)}: '{out}'\n", args
+        assert sorted(os.listdir(tmp_path)) == before and not list(a_folder.iterdir()), args
 
 
 _CONFIG_VALUE_CASES = {

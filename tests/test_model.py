@@ -267,6 +267,8 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
         "config-out-of-range": edited(config={**blob["config"], "n_classes": 1}),
         "unknown-top-key": edited(extra=1),
         "provenance-list": edited(provenance=[]),
+        "provenance-nan": edited(provenance={"fold": 0, "note": float("nan"), "extra": float("inf")}),
+        "provenance-nested-inf": edited(provenance={"fold": 0, "note": {"x": [1.0, -float("inf")]}}),
         "params-missing": edited(params={k: v for k, v in blob["params"].items() if k != "a.b1"}),
         "entry-not-object": edited(params={**blob["params"], "a.b1": [0.0] * 4}),
         "bool-data": param("a.b1", data=[True, False, True, False]),
