@@ -254,7 +254,8 @@ def cmd_train(ns, parser):
 
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "checkpoints").mkdir(exist_ok=True)
+    checkpoints = out_dir / "checkpoints"
+    checkpoints.mkdir(exist_ok=True)
 
     stable = {k: v for k, v in resolved.items() if k != "jobs"}
     manifest = _manifest(
@@ -266,30 +267,27 @@ def cmd_train(ns, parser):
             "jobs": resolved["jobs"],
             "outputs": {
                 "log": str(out_dir / "train-log.jsonl"),
-                "checkpoints": str(out_dir / "checkpoints"),
+                "checkpoints": str(checkpoints),
                 "report": str(out_dir / "report.json"),
             },
         },
     )
     _write_json(out_dir / "manifest.json", manifest)
 
-    records = trainer.cross_validate(ds, cfg, jobs=resolved["jobs"])
+    reports, log_lines = [], []
 
-    reports = [rec.report for rec in records]
-    log_lines = [
-        json.dumps({"run_id": f"f{r.fold}-s{r.seed}", "epoch": entry["epoch"], "split": split, **entry[split]}) + "\n"
-        for rec, r in zip(records, reports) for entry in rec.epochs for split in ("train", "val")
-    ]
-    write_text_atomic(out_dir / "train-log.jsonl", log_lines)
-
-    for rec, r in zip(records, reports):
+    def finish(rec):  # checkpoint one finished run; keep its report and log lines for the end
+        r = rec.report
+        run_id = f"f{r.fold}-s{r.seed}"
         r.provenance["manifest"] = manifest["manifest_sha256"]
-        model.save_checkpoint(
-            out_dir / "checkpoints" / f"ckpt-f{r.fold}-s{r.seed}.json",
-            cfg.model,
-            rec.selected_params,
-            provenance={"system": r.system, "fold": r.fold, "seed": r.seed, **r.provenance},
-        )
+        provenance = {"system": r.system, "fold": r.fold, "seed": r.seed, "folds": ds.fold_count, **r.provenance}
+        model.save_checkpoint(checkpoints / f"ckpt-{run_id}.json", cfg.model, rec.selected_params, provenance)
+        reports.append(r)
+        log_lines.extend(json.dumps({"run_id": run_id, "epoch": entry["epoch"], "split": split, **entry[split]}) + "\n"
+                         for entry in rec.epochs for split in ("train", "val"))
+
+    trainer.cross_validate(ds, cfg, finish, jobs=resolved["jobs"])
+    write_text_atomic(out_dir / "train-log.jsonl", log_lines)
     summary = evalreport.emit_report(reports, *(out_dir / f"report.{ext}" for ext in ("json", "csv", "md")))
     print(evalreport.render_markdown(reports, summary))
     return EXIT_OK
@@ -307,7 +305,8 @@ def cmd_eval(ns, parser):
     else:
         if "fold" not in provenance:
             raise DataValidationError("no fold provenance; use --split all", path=ns.checkpoint)
-        try:
+        try:  # the run's own partition; a checkpoint without `folds` keeps the dataset's
+            ds = ds.with_fold_count(provenance.get("folds", ds.fold_count))
             train, val, test = fold_split(ds, provenance["fold"])
         except ValueError as exc:
             raise DataValidationError(str(exc), path=ns.data) from None

@@ -265,8 +265,8 @@ def load_checkpoint(path):
     """(config, params, provenance) of a checkpoint written by `save_checkpoint`.
 
     A file of any other structure, keys, entry types, values or shapes, or whose
-    provenance has a `system` that is not a string, a `fold` or `seed` that is
-    not an integer or a non-finite number anywhere, raises one
+    provenance has a `system` that is not a string, a `fold`, `seed` or `folds`
+    that is not an integer or a non-finite number anywhere, raises one
     `DataValidationError` naming the file.
     """
     try:
@@ -283,7 +283,7 @@ def load_checkpoint(path):
         provenance = blob.get("provenance", {})
         if not isinstance(provenance, dict):
             raise ValueError("provenance must be a JSON object")
-        for key, typ in (("system", str), ("fold", int), ("seed", int)):
+        for key, typ in (("system", str), ("fold", int), ("seed", int), ("folds", int)):
             if key in provenance and type(provenance[key]) is not typ:
                 raise ValueError(f"provenance {key!r} must be {typ.__name__}")
         for key, value in provenance.items():  # NaN and Infinity parse, but would reach reports as non-JSON

@@ -7,8 +7,8 @@ the parameters of the epoch with the lowest validation JS (ties go to the
 earliest epoch); those parameters produce the final test evaluation.
 
 Runs are independent, so cross_validate can farm them out to worker
-processes; records come back in (fold, seed) order either way, which
-keeps parallel and serial output identical.
+processes; records reach the sink in (fold, seed) order either way,
+which keeps parallel and serial output identical.
 """
 
 from __future__ import annotations
@@ -223,24 +223,23 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
     return RunRecord(epochs=epochs_log, report=report, selected_params=best_params)
 
 
-def _run_cell(args):
-    return train_one(*args)
-
-
-def cross_validate(ds: Dataset, cfg: TrainConfig, jobs: int = 1):
-    """The `RunRecord` of every (fold, seed) run, ordered by (fold, seed)
-    regardless of how many workers executed them.
+def cross_validate(ds: Dataset, cfg: TrainConfig, sink, jobs: int = 1) -> None:
+    """Train every (fold, seed) run and call `sink(record)` in (fold, seed) order,
+    whatever the worker count, as soon as that run and every earlier one are done.
 
     A worker process that dies mid-run raises `WorkerDiedError`.
     """
     cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in cfg.seeds]
     if jobs <= 1:
-        return [_run_cell(cell) for cell in cells]
+        for record in map(train_one, *zip(*cells)):
+            sink(record)
+        return
     import concurrent.futures  # with its logging import, about 7 ms that --jobs 1 never needs
 
     # a pool may start all its workers at once, so never more than there are runs
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            return list(pool.map(_run_cell, cells))
+            for record in pool.map(train_one, *zip(*cells)):
+                sink(record)
     except concurrent.futures.BrokenExecutor as exc:  # a worker was killed or exited
         raise WorkerDiedError(str(exc)) from None

@@ -54,7 +54,8 @@ def effect_runs():
             objective=objective,
         )
         start = time.monotonic()
-        records = cross_validate(ds, cfg, jobs=jobs)
+        records = []
+        cross_validate(ds, cfg, records.append, jobs=jobs)
         elapsed = time.monotonic() - start
         results[objective] = {
             "records": records,

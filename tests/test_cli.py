@@ -2,6 +2,8 @@ import contextlib
 import copy
 import csv
 import errno
+import functools
+import gc
 import io
 import json
 import math
@@ -9,6 +11,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amber import trainer
+from amber import model, trainer
 from amber.cli import TRAIN_DEFAULTS, TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
-from amber.errors import DataValidationError
+from amber.errors import DataValidationError, NumericalAbortError
 from amber.evalreport import (
     BIN_METRICS,
     EvalReport,
@@ -190,6 +194,44 @@ def test_parallel_jobs_match_serial(dataset, tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
 
 
+def test_train_frees_each_run_once_its_checkpoint_is_written(dataset, tmp_path, monkeypatch):
+    save, earlier, alive = model.save_checkpoint, [], []
+
+    def checked_save(path, cfg, params, provenance):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        earlier.extend(weakref.ref(value) for value in params.values())
+        save(path, cfg, params, provenance)
+
+    monkeypatch.setattr(model, "save_checkpoint", checked_save)
+    assert main(_train_args(dataset, tmp_path / "run", **{"--seeds": 2})) == 0
+    assert alive == [0] * 8  # 4 folds x 2 seeds: no earlier run's parameters outlive its checkpoint
+
+
+_train_one = trainer.train_one
+
+
+def _abort_in_last_run(ds, fold, seed, cfg):
+    if (fold, seed) == (ds.fold_count - 1, cfg.seeds[-1]):
+        raise NumericalAbortError("injected into the last run")
+    return _train_one(ds, fold, seed, cfg)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_train_aborted_in_its_last_run_keeps_every_earlier_checkpoint(dataset, tmp_path, capsys, monkeypatch, jobs):
+    full, cut = tmp_path / "full", tmp_path / "cut"
+    assert main(_train_args(dataset, full, **{"--seeds": 2})) == 0
+    monkeypatch.setattr(trainer, "train_one", _abort_in_last_run)
+    assert main(_train_args(dataset, cut, **{"--seeds": 2, "--jobs": jobs})) == 3
+    assert capsys.readouterr().err == "amber: numerical abort: injected into the last run\n"
+    expected = [f"ckpt-f{fold}-s{seed}.json" for fold in range(4) for seed in range(2)][:-1]
+    assert sorted(path.name for path in (cut / "checkpoints").iterdir()) == sorted(expected)
+    for name in expected:
+        assert (cut / "checkpoints" / name).read_bytes() == (full / "checkpoints" / name).read_bytes(), name
+    assert sorted(path.name for path in cut.iterdir()) == ["checkpoints", "manifest.json"]
+    assert not list(cut.rglob("*.tmp"))
+
+
 def test_train_flag_overrides_config_file(dataset, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"epochs": 2, "hidden": 8, "fusion_dim": 8,
@@ -216,6 +258,31 @@ def test_eval_emits_binned_report(dataset, tmp_path):
     assert csv_text.startswith("system,fold,seed,bin,metric,value,mean,std")
 
 
+def test_eval_splits_with_the_fold_count_the_run_trained_with(dataset, tmp_path, capsys):
+    # 40 rows under a 4-fold header: --folds 5 tests each run on 8 rows, the header's folds hold 10
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run, **{"--folds": 5})) == 0
+    trained = json.loads((run / "report.json").read_text())["reports"][0]
+    ckpt = run / "checkpoints" / "ckpt-f0-s0.json"
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out-dir", str(tmp_path / "ev")]) == 0
+    evaluated = json.loads((tmp_path / "ev" / "eval-report.json").read_text())["reports"][0]
+    assert (evaluated["fold"], evaluated["seed"]) == (trained["fold"], trained["seed"]) == (0, 0)
+    assert evaluated["metrics"] == trained["metrics"]
+    assert sum(row["count"] for row in evaluated["bins"]) == 8
+    assert json.loads(ckpt.read_text())["provenance"]["folds"] == 5
+    capsys.readouterr()
+    for folds in (2, 41):  # fold_split needs 3 folds; the dataset has 40 rows
+        blob = json.loads(ckpt.read_text())
+        blob["provenance"]["folds"] = folds
+        bad = tmp_path / f"folds-{folds}.json"
+        bad.write_text(json.dumps(blob))
+        out_dir = tmp_path / f"ev-{folds}"
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset), "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("amber: data validation error: ") and err.count("\n") == 1, err
+        assert not out_dir.exists()
+
+
 def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(_train_args(dataset, run)) == 0
@@ -234,7 +301,8 @@ def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path
                  "--out-dir", str(tmp_path / "bad")]) == 2
     assert "invalid checkpoint" in capsys.readouterr().err
     provenance_cases = [{"system": [1, 2]}, {"seed": {"x": 1}}, {"fold": True}, {"fold": 0.0},
-                        {"seed": None}, {"system": 3}, {"note": math.nan}, {"extra": [1, {"x": -math.inf}]}]
+                        {"seed": None}, {"system": 3}, {"folds": 5.0}, {"folds": "5"}, {"note": math.nan},
+                        {"extra": [1, {"x": -math.inf}]}]
     for split in ("test", "all"):
         for case in provenance_cases:
             blob = json.loads(ckpt.read_text())
@@ -518,16 +586,25 @@ def test_a_numerical_abort_prints_one_stderr_line(dataset, tmp_path, command, jo
     assert proc.stderr.startswith("amber: numerical abort: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
-def _exit_in_worker(cell):
+def _exit_in_last_run(checkpoints, ds, fold, seed, cfg):
+    """Train every run but the last, which exits its worker once every earlier checkpoint is written."""
+    if fold < ds.fold_count - 1:
+        return _train_one(ds, fold, seed, cfg)
+    deadline = time.monotonic() + 60
+    while len(list(checkpoints.glob("*.json"))) < fold and time.monotonic() < deadline:
+        time.sleep(0.01)
     os._exit(7)
 
 
 def test_dead_worker_exits_4_with_a_message(dataset, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(trainer, "_run_cell", _exit_in_worker)
+    checkpoints = tmp_path / "dead" / "checkpoints"
+    monkeypatch.setattr(trainer, "train_one", functools.partial(_exit_in_last_run, checkpoints))
     code = main(_train_args(dataset, tmp_path / "dead", **{"--jobs": 2}))
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("amber: worker process died:") and "Traceback" not in err
+    # the runs that finished before the dead one keep their checkpoints
+    assert sorted(path.name for path in checkpoints.iterdir()) == [f"ckpt-f{fold}-s0.json" for fold in range(3)]
 
 
 def test_malformed_config_file_exits_2(dataset, tmp_path, capsys):

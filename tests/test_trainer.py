@@ -197,7 +197,8 @@ def test_non_finite_loss_aborts_with_coordinates():
 def test_cross_validate_shape_and_aggregate():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0, 1))
-    records = cross_validate(ds, cfg)
+    records = []
+    assert cross_validate(ds, cfg, records.append) is None
     agg = aggregate([r.report for r in records])
     assert len(records) == ds.fold_count * 2
     assert [(r.report.fold, r.report.seed) for r in records] == [
@@ -210,7 +211,8 @@ def test_cross_validate_shape_and_aggregate():
 def test_duplicate_seeds_have_zero_std():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(7, 7))
-    records = cross_validate(ds, cfg)
+    records = []
+    cross_validate(ds, cfg, records.append)
     per_fold = {}
     for r in records:
         per_fold.setdefault(r.report.fold, []).append(r.report.metrics["JS"])
@@ -221,8 +223,9 @@ def test_duplicate_seeds_have_zero_std():
 def test_parallel_and_serial_cross_validation_agree():
     ds = _dataset(n_samples=150)
     cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0,))
-    serial_records = cross_validate(ds, cfg, jobs=1)
-    par_records = cross_validate(ds, cfg, jobs=2)
+    serial_records, par_records = [], []
+    cross_validate(ds, cfg, serial_records.append, jobs=1)
+    cross_validate(ds, cfg, par_records.append, jobs=2)
     assert aggregate([r.report for r in serial_records]) == aggregate([r.report for r in par_records])
     for a, b in zip(serial_records, par_records):
         assert (a.report.fold, a.report.seed) == (b.report.fold, b.report.seed)
@@ -244,13 +247,14 @@ def test_cross_validate_asks_for_no_more_workers_than_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells):
-            return map(fn, cells)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     ds = _dataset(n_samples=60)
     cfg = TrainConfig(model=_model_cfg(), epochs=1, batch=64, seeds=(0,))
-    records = cross_validate(ds, cfg, jobs=10**6)
+    records = []
+    cross_validate(ds, cfg, records.append, jobs=10**6)
     assert asked == [len(records)] == [ds.fold_count]
 
 
