@@ -11,14 +11,14 @@ order is a pure function of graph structure, so repeated runs are
 bit-identical.
 
 Gradient buffers: a `requires_grad` leaf holds a zero buffer from
-construction, so a parameter the root never reaches reads zero. An interior
-node has `grad = None` until `backward` reaches it. `backward` resets every
-node it reaches to `None`; the first accumulation assigns the incoming array
-(so nodes may share one) and later ones add out of place. Once an interior
-node's closure has routed its gradient on to its parents, `backward` drops
-that node's `grad` again, so only the leaves keep theirs and an interior
-gradient lives no longer than the step that consumes it. `stop_grad` is the
-one way to detach.
+construction, and an interior node `grad = None`. `backward` resets every
+node it reaches to `None`; a node it does not reach keeps what it held, the
+zero buffer or the gradient of an earlier root that reached it. The first
+accumulation assigns the incoming array (so nodes may share one) and later
+ones add out of place. Once an interior node's closure has routed its
+gradient on to its parents, `backward` drops that node's `grad` again, so
+only the leaves keep theirs and an interior gradient lives no longer than
+the step that consumes it. `stop_grad` is the one way to detach.
 
 Fused nodes: `linear` is `add(matmul(x, w), b)`, `linear_relu` is `relu` of
 it, and `gated_fusion` is the whole gated fusion of two inputs, each as one
@@ -86,10 +86,10 @@ def backward(root: Tensor):
     `root` must hold a single value. Visits nodes in reverse topological
     order (children before parents), depth-first over the ordered parent
     tuples, so the accumulation order is deterministic. Every node reachable
-    from the root is reset to `grad = None` first, so each call yields
-    exactly the gradient of this root, never a mix of calls. An interior
-    node's `grad` is released (set back to `None`) as soon as its closure
-    has passed it on; the leaves keep theirs.
+    from the root is reset to `grad = None` first, so it holds the gradient
+    of this root alone; a node the root does not reach keeps what it held
+    before the call. An interior node's `grad` is released (set back to
+    `None`) as soon as its closure has passed it on; the leaves keep theirs.
     """
     if root.data.size != 1:
         raise ValueError(f"backward requires a scalar root, got shape {root.data.shape}")

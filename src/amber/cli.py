@@ -253,9 +253,13 @@ def cmd_train(ns, parser):
     cfg = _train_config(resolved, ds, parser)
 
     out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoints = out_dir / "checkpoints"
-    checkpoints.mkdir(exist_ok=True)
+    checkpoints.mkdir(parents=True, exist_ok=True)
+    # An earlier train's outputs in this directory go first, so an abort leaves no mix of two runs.
+    for name in ("report.json", "report.csv", "report.md", "train-log.jsonl"):
+        (out_dir / name).unlink(missing_ok=True)
+    for stale in checkpoints.glob("ckpt-f*-s*.json"):
+        stale.unlink()
 
     stable = {k: v for k, v in resolved.items() if k != "jobs"}
     manifest = _manifest(
@@ -288,8 +292,7 @@ def cmd_train(ns, parser):
 
     trainer.cross_validate(ds, cfg, finish, jobs=resolved["jobs"])
     write_text_atomic(out_dir / "train-log.jsonl", log_lines)
-    summary = evalreport.emit_report(reports, *(out_dir / f"report.{ext}" for ext in ("json", "csv", "md")))
-    print(evalreport.render_markdown(reports, summary))
+    print(evalreport.emit_report(reports, out_dir / "report"))
     return EXIT_OK
 
 
@@ -326,8 +329,7 @@ def cmd_eval(ns, parser):
     )
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary = evalreport.emit_report([report], out_dir / "eval-report.json", out_dir / "eval-report.csv")
-    print(evalreport.render_markdown([report], summary))
+    print(evalreport.emit_report([report], out_dir / "eval-report"))
     return EXIT_OK
 
 

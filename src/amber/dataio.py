@@ -1,6 +1,7 @@
 """Dataset ingestion, the synthetic dual-ambiguity generator and fold bookkeeping.
 
-Interchange format is JSON lines with an explicit header record:
+Interchange format is JSON lines (a line ends at LF and at no other line
+break) with an explicit header record:
 
     {"schema": "amber-ds-v1", "C": int, "dim_a": int, "dim_t": int, "folds": int}
     {"id": str, "h_a": [...], "h_t": [...], "votes": [int x C]}          # + optional "y"
@@ -29,7 +30,7 @@ SCHEMA = "amber-ds-v1"
 # Format tag of the column cache beside a dataset file (see `load_jsonl`).
 # Bump it whenever its layout or the checks a parse makes change, so that no
 # sidecar written under the old ones is read.
-CACHE_FORMAT = "amber-ds-cache-v2"
+CACHE_FORMAT = "amber-ds-cache-v3"
 
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
@@ -243,7 +244,7 @@ def _decode(data, path=None):
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line = data[:exc.start].count(b"\n") + 1
         raise DataValidationError(f"invalid UTF-8 ({exc.reason})", line=line, path=path) from None
 
 
@@ -325,9 +326,10 @@ def load_jsonl(path) -> Dataset:
 
 def _parse(data, path, digest):
     """The dataset in `data`, the bytes of `path` whose sha256 is `digest`, checked line by line."""
-    lines = _decode(data, path).splitlines()
-    if not lines:
+    text = _decode(data, path)
+    if not text:
         raise DataValidationError("empty dataset file", path=path)
+    lines = text.split("\n")  # JSON Lines: a "\r" before it is JSON whitespace, so CRLF files load too
 
     header = _read_object(lines[0], 1, path)
     if header.get("schema") != SCHEMA:

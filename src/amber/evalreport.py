@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -254,24 +253,18 @@ def render_json(reports, summary) -> str:
     return json.dumps(blob, indent=2) + "\n"
 
 
-RENDERERS = {".json": render_json, ".csv": render_csv, ".md": render_markdown}
+def emit_report(reports, stem) -> str:
+    """Write runs + aggregate to `<stem>.json`, `<stem>.csv` and `<stem>.md`; return the Markdown.
 
-
-def emit_report(reports, *paths) -> dict:
-    """Write runs + aggregate to each path, in the format its suffix names; return the aggregate.
-
-    Suffixes are `.json`, `.csv` and `.md`; any other raises `ValueError`
-    before a file is written. The output is deterministic.
+    The aggregate is computed and the Markdown rendered once. The output is
+    deterministic.
     """
-    if not reports:
-        raise ValueError("emit_report needs at least one report")
-    renderers = [RENDERERS.get(os.path.splitext(path)[1]) for path in paths]
-    if None in renderers:
-        raise ValueError(f"report paths {[str(p) for p in paths]} need a suffix in {sorted(RENDERERS)}")
     summary = aggregate(reports)
-    for path, render in zip(paths, renderers):
-        write_text_atomic(path, render(reports, summary))
-    return summary
+    markdown = render_markdown(reports, summary)
+    write_text_atomic(f"{stem}.json", render_json(reports, summary))
+    write_text_atomic(f"{stem}.csv", render_csv(reports, summary))
+    write_text_atomic(f"{stem}.md", markdown)
+    return markdown
 
 
 def _is_number(value) -> bool:

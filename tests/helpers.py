@@ -243,11 +243,16 @@ def traced_peak_bytes(fn):
 
 
 def oracle_load_jsonl(path) -> Dataset:
-    """`load_jsonl` as it was before the column cache: the oracle of its parse."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    """`load_jsonl` as it was before the column cache: the oracle of its parse.
+
+    Lines end at LF alone, the JSON Lines rule: a CR before it is JSON
+    whitespace, and no other line break (U+2028, U+0085, a lone CR) ends one.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    if not text:
         raise DataValidationError("empty dataset file", path=path)
+    lines = text.split("\n")
 
     header = _oracle_parse_json(lines[0], 1, path)
     if header.get("schema") != SCHEMA:

@@ -231,6 +231,22 @@ def test_backward_twice_on_one_graph_gives_the_same_leaf_gradients():
     assert np.array_equal(unreached.grad, np.zeros(2))
 
 
+def test_a_leaf_a_later_root_does_not_reach_keeps_what_it_held():
+    rng = np.random.default_rng(47)
+    x = ad.constant(rng.standard_normal((4, 3)))
+    w = ad.Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+    b1, b2 = (ad.Tensor(rng.standard_normal(2), requires_grad=True) for _ in range(2))
+    ad.backward(mean(ad.linear(x, w, b1)))
+    held = b1.grad.copy()
+    assert np.any(held != 0)
+    ad.backward(mean(ad.linear(x, w, b2)))
+    assert np.array_equal(b1.grad, held)  # root 2 does not reach b1: it keeps root 1's gradient
+    fresh_w, fresh_b2 = ad.Tensor(w.data, requires_grad=True), ad.Tensor(b2.data, requires_grad=True)
+    ad.backward(mean(ad.linear(x, fresh_w, fresh_b2)))
+    assert np.array_equal(w.grad, fresh_w.grad)  # a reached leaf holds root 2's gradient alone
+    assert np.array_equal(b2.grad, fresh_b2.grad)
+
+
 def test_backward_releases_interior_gradients_and_leaves_keep_theirs():
     rng = np.random.default_rng(43)
     x = ad.constant(rng.standard_normal((4, 3)))

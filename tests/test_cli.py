@@ -232,6 +232,46 @@ def test_a_train_aborted_in_its_last_run_keeps_every_earlier_checkpoint(dataset,
     assert not list(cut.rglob("*.tmp"))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_abort_into_a_finished_runs_out_dir_leaves_only_its_manifest(dataset, tmp_path, capsys, jobs):
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run, **{"--seeds": 2})) == 0
+    assert main(_train_args(dataset, run, **{"--lr": "1e308", "--jobs": jobs})) == 3
+    assert capsys.readouterr().err.startswith("amber: numerical abort: ")
+    assert sorted(path.name for path in run.iterdir()) == ["checkpoints", "manifest.json"]
+    assert not list((run / "checkpoints").iterdir())
+    assert json.loads((run / "manifest.json").read_text())["config"]["lr"] == 1e308
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_train_into_a_used_out_dir_replaces_only_the_outputs_of_a_train(dataset, tmp_path, jobs):
+    fresh, run = tmp_path / "fresh", tmp_path / "run"
+    assert main(_train_args(dataset, fresh)) == 0
+    assert main(_train_args(dataset, run, **{"--seeds": 2})) == 0
+    (run / "notes.txt").write_text("kept")
+    (run / "checkpoints" / "best.json").write_text("{}")
+    assert main(_train_args(dataset, run, **{"--jobs": jobs})) == 0
+    assert sorted(path.name for path in (run / "checkpoints").iterdir()) == (
+        ["best.json"] + [f"ckpt-f{fold}-s0.json" for fold in range(4)])
+    for path in fresh.rglob("*"):
+        if path.is_file() and path.name != "manifest.json":  # the manifest records the out-dir
+            assert path.read_bytes() == (run / path.relative_to(fresh)).read_bytes(), path.name
+    manifests = [json.loads((out / "manifest.json").read_text())["manifest_sha256"] for out in (fresh, run)]
+    assert manifests[0] == manifests[1]
+    assert (run / "notes.txt").read_text() == "kept" and (run / "checkpoints" / "best.json").read_text() == "{}"
+
+
+def test_train_and_eval_print_the_markdown_report_they_write(dataset, tmp_path, capsys):
+    run, ev = tmp_path / "run", tmp_path / "ev"
+    assert main(_train_args(dataset, run)) == 0
+    assert capsys.readouterr().out == (run / "report.md").read_text() + "\n"
+    assert main(["eval", "--checkpoint", str(run / "checkpoints" / "ckpt-f0-s0.json"), "--data", str(dataset),
+                 "--out-dir", str(ev)]) == 0
+    assert capsys.readouterr().out == (ev / "eval-report.md").read_text() + "\n"
+    assert sorted(path.name for path in ev.iterdir()) == ["eval-report.csv", "eval-report.json", "eval-report.md"]
+
+
 def test_train_flag_overrides_config_file(dataset, tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"epochs": 2, "hidden": 8, "fusion_dim": 8,
@@ -358,7 +398,7 @@ def test_eval_rejects_more_bins_than_the_split_rows(dataset, tmp_path, capsys):
 
 def _write_report(path, metrics):
     report = EvalReport(system="x", fold=0, seed=0, metrics=metrics)
-    emit_report([report], path)
+    emit_report([report], path.with_suffix(""))
 
 
 def test_compare_identical_reports_zero_deltas(tmp_path, capsys):
@@ -409,7 +449,7 @@ def _binned_report(path, system, n_bins, seed=0):
     preds, targets = rng.dirichlet(np.ones(3), size=(2, 40))
     report = EvalReport(system=system, fold=0, seed=seed, metrics=all_metrics(preds, targets),
                         bins=ambiguity_bins(preds, targets, n_bins))
-    emit_report([report], path)
+    emit_report([report], path.with_suffix(""))
 
 
 def test_bins_rejects_reports_with_different_bin_edges(tmp_path, capsys):
@@ -498,6 +538,13 @@ def test_invalid_utf8_in_a_dataset_exits_2_naming_its_line(dataset, tmp_path, ca
 
 _HEADER = '{"schema": "amber-ds-v1", "C": 3, "dim_a": 2, "dim_t": 2, "folds": 3}'
 _RECORDS = [f'{{"id": "s{i}", "h_a": [0.0, 1.0], "h_t": [1.0, 0.0], "votes": [2, 1, 1]}}' for i in range(3)]
+
+
+def test_records_separated_only_by_a_unicode_line_break_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_HEADER + "\n" + _RECORDS[0] + "\n" + "\u2028".join(_RECORDS[1:]) + "\n", encoding="utf-8")
+    assert main(_train_args(bad, tmp_path / "run")) == 2
+    assert capsys.readouterr().err == f"amber: data validation error: {bad}: line 3: malformed JSON (Extra data)\n"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

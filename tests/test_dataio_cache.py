@@ -37,7 +37,14 @@ RECORDS = [
     {"id": "s4", "h_a": [-2.0, 2.0], "h_t": [1e-5, 1e5], "votes": [3, 3, 4611686018427387904]},
     {"id": "s5", "h_a": [0.7, 0.8], "h_t": [0.9, 1.0], "votes": [1, 0, 0], "y": [1, 0, 0]},
 ]
-BASE = "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in [HEADER, *RECORDS]).encode()
+
+
+def _jsonl(records):
+    """The dataset file of `records` under HEADER, non-ASCII text written raw."""
+    return "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in [HEADER, *records]).encode()
+
+
+BASE = _jsonl(RECORDS)
 
 
 def _sidecar(path):
@@ -61,7 +68,7 @@ def _outcome(load, path):
     except UnicodeDecodeError:
         # The oracle's only failure without a line: the expected one is the
         # line holding the first byte that is not UTF-8.
-        lines = Path(path).read_bytes().decode("utf-8", errors="surrogateescape").splitlines()
+        lines = Path(path).read_bytes().decode("utf-8", errors="surrogateescape").split("\n")
         line = next(i for i, text in enumerate(lines, start=1) if re.search("[\udc80-\udcff]", text))
         return DataValidationError, "invalid UTF-8", line
     except (ValueError, RecursionError) as exc:
@@ -87,7 +94,7 @@ def _named_error(path, exc):
     """
     if type(exc) is ValueError and "integer string conversion" not in str(exc):
         return DataValidationError("header dimensions too large to allocate", line=1, path=path)
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
     line = next(i for i, text in enumerate(lines, start=1) if _json_error_type(text) is type(exc))
     reason = "nested too deeply" if type(exc) is RecursionError else "integer literal too long"
     return DataValidationError(f"malformed JSON ({reason})", line=line, path=path)
@@ -239,7 +246,7 @@ _COLUMNS = (("h_a", "<f8", "dim_a"), ("h_t", "<f8", "dim_t"), ("votes", "<i8", "
 
 
 def _read_sidecar(path):
-    """(header, body) of a v2 sidecar: its first line as JSON, then the bytes after it."""
+    """(header, body) of a sidecar: its first line as JSON, then the bytes after it."""
     header, body = _sidecar(path).read_bytes().split(b"\n", 1)
     return json.loads(header), body
 
@@ -334,6 +341,7 @@ _DAMAGE = {
     "body-one-byte-long": lambda p: _resize_body(p, 1),
     "header-without-newline": lambda p: _sidecar(p).write_bytes(_sidecar(p).read_bytes().replace(b"\n", b"", 1)),
     "v1-sidecar": _v1_sidecar,
+    "v2-sidecar": lambda p: _edit_sidecar(p, format="amber-ds-cache-v2"),
 }
 
 
@@ -393,7 +401,7 @@ def test_cold_loads_write_identical_sidecar_bytes(dataset):
     assert _sidecar(dataset).read_bytes() == first == _sidecar(other).read_bytes()
     header, body = _read_sidecar(dataset)
     assert list(header) == ["format", "sha256", "C", "dim_a", "dim_t", "folds", "ids"]
-    assert header["format"] == dataio.CACHE_FORMAT == "amber-ds-cache-v2"
+    assert header["format"] == dataio.CACHE_FORMAT == "amber-ds-cache-v3"
     assert header["ids"] == [r["id"] for r in RECORDS]
     want = oracle_load_jsonl(dataset)
     assert body == b"".join(np.asarray(getattr(want, k), dtype).tobytes() for k, dtype, _ in _COLUMNS)
@@ -405,3 +413,39 @@ def test_invalid_utf8_names_the_line_of_the_first_bad_byte_and_writes_no_sidecar
         load_jsonl(dataset)
     assert exc.value.line == 4
     assert not _sidecar(dataset).exists()
+
+
+# ---------------------------------------------------------------------------
+# line breaks: a record ends at "\n" alone
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"], ids=["U+2028", "U+2029", "U+0085"])
+def test_an_id_holding_a_unicode_line_break_loads_cold_and_from_the_sidecar(dataset, char, monkeypatch):
+    records = [dict(r) for r in RECORDS]
+    records[1]["id"] = f"s{char}1"
+    dataset.write_bytes(_jsonl(records))
+    assert char.encode() in dataset.read_bytes()  # written raw, as `ensure_ascii=False` writes it
+    cold = load_jsonl(dataset)
+    assert cold.ids[1] == f"s{char}1"
+    assert_same_dataset(cold, oracle_load_jsonl(dataset))
+    monkeypatch.setattr(dataio, "_parse", lambda *args: pytest.fail("parsed on a hit"))
+    assert_same_dataset(load_jsonl(dataset), cold)
+
+
+def test_invalid_utf8_after_a_unicode_line_break_names_its_own_line(dataset):
+    records = [dict(r) for r in RECORDS]
+    records[0]["id"] = "s\u20280"
+    lines = _jsonl(records).split(b"\n")
+    lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+    dataset.write_bytes(b"\n".join(lines))
+    with pytest.raises(DataValidationError, match="line 3: invalid UTF-8") as exc:
+        load_jsonl(dataset)
+    assert exc.value.line == 3
+
+
+def test_a_crlf_file_loads_the_columns_of_its_lf_twin(dataset):
+    crlf = dataset.with_name("crlf.jsonl")
+    crlf.write_bytes(BASE.replace(b"\n", b"\r\n"))
+    lf = load_jsonl(dataset)
+    assert_same_dataset(load_jsonl(crlf), lf)  # cold
+    assert_same_dataset(load_jsonl(crlf), lf)  # from its sidecar

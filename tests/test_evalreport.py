@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from amber import evalreport
+from amber.dataio import write_text_atomic
 from amber.distlib import bhattacharyya_rows, js_divergence_rows
 from amber.evalreport import (
     EvalReport,
@@ -16,6 +18,7 @@ from amber.evalreport import (
     dist_metrics,
     emit_report,
     load_report,
+    render_csv,
     render_markdown,
 )
 
@@ -250,9 +253,9 @@ def test_aggregate_constant_metric_has_zero_std():
 
 def test_emit_report_single_and_deterministic(tmp_path):
     reports = _fake_reports(1)
+    emit_report(reports, tmp_path / "a")
+    emit_report(reports, tmp_path / "b")
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_report(reports, p1)
-    emit_report(reports, p2)
     assert p1.read_bytes() == p2.read_bytes()
     rows = list(csv.reader(io.StringIO(p1.read_text())))
     assert rows[0] == ["system", "fold", "seed", "bin", "metric", "value", "mean", "std"]
@@ -262,9 +265,8 @@ def test_emit_report_single_and_deterministic(tmp_path):
 
 def test_emit_report_json_round_trip(tmp_path):
     reports = _fake_reports(3)
-    path = tmp_path / "r.json"
-    emit_report(reports, path)
-    back, agg = load_report(path)
+    emit_report(reports, tmp_path / "r")
+    back, agg = load_report(tmp_path / "r.json")
     assert len(back) == 3
     assert back[0].metrics == reports[0].metrics
     assert agg["metrics"]["JS"]["mean"] == aggregate(reports)["metrics"]["JS"]["mean"]
@@ -287,26 +289,21 @@ def test_markdown_round_trips_through_column_schema(tmp_path):
 
 
 def test_emit_report_validation(tmp_path):
-    with pytest.raises(ValueError):
-        emit_report([], tmp_path / "x.csv")
-    with pytest.raises(ValueError):
-        emit_report(_fake_reports(1), tmp_path / "x.xml")
+    with pytest.raises(ValueError, match="nothing to aggregate"):
+        emit_report([], tmp_path / "x")
+    assert not list(tmp_path.iterdir())
 
 
-def test_emit_report_checks_every_suffix_before_writing(tmp_path):
-    ok, bad = tmp_path / "ok.json", tmp_path / "bad.xml"
-    with pytest.raises(ValueError, match="suffix"):
-        emit_report(_fake_reports(1), ok, bad)
-    assert not ok.exists() and not bad.exists()
-
-
-def test_emit_report_returns_the_aggregate_of_every_file(tmp_path):
-    reports = _fake_reports(2)
-    paths = [tmp_path / f"r.{ext}" for ext in ("json", "csv", "md")]
-    summary = emit_report(reports, *paths)
-    assert summary == aggregate(reports)
-    assert load_report(paths[0])[1] == json.loads(json.dumps(summary))
-    assert paths[2].read_text() == render_markdown(reports, summary)
+def test_emit_report_writes_json_csv_and_markdown_and_returns_the_markdown(tmp_path, monkeypatch):
+    reports, written = _fake_reports(2), []
+    monkeypatch.setattr(evalreport, "write_text_atomic",
+                        lambda path, text: (written.append(path), write_text_atomic(path, text)))
+    markdown = emit_report(reports, tmp_path / "r")
+    assert written == [f"{tmp_path / 'r'}.{ext}" for ext in ("json", "csv", "md")]
+    summary = aggregate(reports)
+    assert markdown == (tmp_path / "r.md").read_text() == render_markdown(reports, summary)
+    assert load_report(tmp_path / "r.json")[1] == json.loads(json.dumps(summary))
+    assert (tmp_path / "r.csv").read_text() == render_csv(reports, summary)
 
 
 def test_aggregate_rejects_reports_with_different_bin_counts():
