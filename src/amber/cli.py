@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
 from .dataio import (SynthConfig, check_keys, fold_split, generate_synthetic, load_jsonl, read_json, save_jsonl,
-                     write_text_atomic)
+                     write_json, write_text_atomic)
 from .errors import DataValidationError, NumericalAbortError, WorkerDiedError
 from .losses import EXPERT_SUPERVISION, MAI_EXPERT_GRAD, LossConfig
 from .model import ModelConfig
@@ -149,10 +149,6 @@ def _manifest(command, config, dataset_sha=None, execution=None):
     return core
 
 
-def _write_json(path, blob):
-    write_text_atomic(path, json.dumps(blob, indent=2) + "\n")
-
-
 def _load_config_file(path):
     try:
         blob = read_json(Path(path).read_bytes())
@@ -231,7 +227,7 @@ def cmd_gen(ns, parser):
         dataset_sha=hashlib.sha256(Path(ns.out).read_bytes()).hexdigest(),
         execution={"outputs": {"dataset": str(ns.out)}},
     )
-    _write_json(str(ns.out) + ".manifest.json", manifest)
+    write_json(str(ns.out) + ".manifest.json", manifest)
     print(f"wrote {len(ds)} samples to {ns.out}")
     return EXIT_OK
 
@@ -276,7 +272,7 @@ def cmd_train(ns, parser):
             },
         },
     )
-    _write_json(out_dir / "manifest.json", manifest)
+    write_json(out_dir / "manifest.json", manifest)
 
     reports, log_lines = [], []
 
@@ -352,18 +348,14 @@ def cmd_compare(ns, parser):
 
     rows = []
     for name in evalreport.METRIC_ORDER:
-        if name not in base_metrics:
-            continue
-        b, c = base_metrics[name]["mean"], cand_metrics[name]["mean"]
-        rel = _relative_improvement(name, b, c)
-        rows.append((name, b, c, c - b, rel))
+        if name in base_metrics:
+            b, c = base_metrics[name]["mean"], cand_metrics[name]["mean"]
+            rows.append((name, b, c, c - b, _relative_improvement(name, b, c)))
 
-    lines = ["| metric | baseline | candidate | delta | improvement |", "|---|---|---|---|---|"]
-    for name, b, c, delta, rel in rows:
-        rel_txt = f"{100 * rel:+.1f}%" if rel is not None else "-"
-        lines.append(f"| {name} | {b:.4f} | {c:.4f} | {delta:+.4f} | {rel_txt} |")
-    table = "\n".join(lines)
-    print(table)
+    print(evalreport.markdown_table(
+        ("metric", "baseline", "candidate", "delta", "improvement"),
+        [(name, f"{b:.4f}", f"{c:.4f}", f"{delta:+.4f}", "-" if rel is None else f"{100 * rel:+.1f}%")
+         for name, b, c, delta, rel in rows]))
 
     if ns.out:
         header = ["metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]

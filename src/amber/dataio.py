@@ -1,7 +1,7 @@
 """Dataset ingestion, the synthetic dual-ambiguity generator and fold bookkeeping.
 
-Interchange format is JSON lines (a line ends at LF and at no other line
-break) with an explicit header record:
+Interchange format is JSON lines (a line ends at LF alone; a line of JSON
+whitespace alone is blank and skipped) with an explicit header record:
 
     {"schema": "amber-ds-v1", "C": int, "dim_a": int, "dim_t": int, "folds": int}
     {"id": str, "h_a": [...], "h_t": [...], "votes": [int x C]}          # + optional "y"
@@ -30,7 +30,7 @@ SCHEMA = "amber-ds-v1"
 # Format tag of the column cache beside a dataset file (see `load_jsonl`).
 # Bump it whenever its layout or the checks a parse makes change, so that no
 # sidecar written under the old ones is read.
-CACHE_FORMAT = "amber-ds-cache-v3"
+CACHE_FORMAT = "amber-ds-cache-v4"
 
 # Stored soft labels may disagree with the recomputed vote normalization by
 # at most this much before the record is treated as corrupt.
@@ -267,6 +267,11 @@ def read_json(data, path=None, line=None):
     raise DataValidationError(f"malformed JSON ({reason})", line=line, path=path) from None
 
 
+def write_json(path, blob):
+    """Write `blob` to `path` as JSON indented by 2 and a newline, through `write_text_atomic`."""
+    write_text_atomic(path, json.dumps(blob, indent=2) + "\n")
+
+
 def check_keys(obj, required=(), optional=(), what="keys"):
     """Raise `ValueError` unless `obj` is a dict holding every key of `required`
     and no key outside `required` and `optional`; `what` names the keys, as in
@@ -352,7 +357,7 @@ def _parse(data, path, digest):
     ids = []
     seen_ids = set()
     for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        if not raw.strip(" \t\r"):  # blank: JSON whitespace only; U+00A0, "\v" and the like are not
             continue
         record = _read_object(raw, line_no, path)
         sample_id = _parse_record(record, len(ids), h_a, h_t, votes, line_no, path)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import distlib
-from .dataio import check_keys, read_json, write_text_atomic
+from .dataio import check_keys, read_json, write_json, write_text_atomic
 from .errors import DataValidationError
 
 METRIC_ORDER = ("JS", "BC", "R2", "R2_raw", "F1_macro", "WF1", "ACC")
@@ -86,7 +85,7 @@ def dist_metrics(preds, targets) -> dict:
 
 
 def _cls_metrics(p, y):
-    """Macro-F1, support-weighted F1 and accuracy on argmax labels.
+    """Macro-F1, support-weighted F1 and accuracy on argmax labels, from the confusion matrix's marginals.
 
     Classes absent from both targets and predictions contribute F1 = 0 to
     the macro average and zero weight to the weighted one.
@@ -94,21 +93,13 @@ def _cls_metrics(p, y):
     n_classes = y.shape[1]
     p_hat = np.argmax(p, axis=1)
     y_hat = np.argmax(y, axis=1)
-
-    f1 = np.zeros(n_classes)
-    support = np.zeros(n_classes)
-    for c in range(n_classes):
-        tp = int(np.sum((p_hat == c) & (y_hat == c)))
-        fp = int(np.sum((p_hat == c) & (y_hat != c)))
-        fn = int(np.sum((p_hat != c) & (y_hat == c)))
-        support[c] = tp + fn
-        if 2 * tp + fp + fn > 0:
-            f1[c] = 2.0 * tp / (2 * tp + fp + fn)
-
-    acc = float(np.mean(p_hat == y_hat))
-    macro = float(f1.mean())
-    wf1 = float((f1 * support).sum() / support.sum()) if support.sum() > 0 else 0.0
-    return {"F1_macro": macro, "WF1": wf1, "ACC": acc}
+    # its diagonal (tp) and row sums (support), counted without its C x C cells
+    tp = np.bincount(y_hat[p_hat == y_hat], minlength=n_classes)
+    support = np.bincount(y_hat, minlength=n_classes)
+    # 2 * tp + fp + fn is the row sum plus the column sum; where that is 0, tp and F1 are 0
+    f1 = 2.0 * tp / np.maximum(support + np.bincount(p_hat, minlength=n_classes), 1)
+    return {"F1_macro": float(f1.mean()), "WF1": float((f1 * support).sum() / support.sum()),
+            "ACC": float(tp.sum() / len(y_hat))}
 
 
 def all_metrics(preds, targets) -> dict:
@@ -226,31 +217,27 @@ def render_csv(reports, summary) -> str:
     return csv_text(CSV_COLUMNS, rows)
 
 
+def markdown_table(header, rows) -> str:
+    """Rows of strings as a Markdown table under `header`, its lines joined by "\n" with no final one."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in (header, *rows)]
+    lines.insert(1, "|---" * len(header) + "|")
+    return "\n".join(lines)
+
+
 def render_markdown(reports, summary) -> str:
-    lines = [f"### {reports[0].system}: {len(reports)} run(s)", ""]
-    lines.append("| metric | mean | std | n |")
-    lines.append("|---|---|---|---|")
-    for name, cell in summary["metrics"].items():
-        lines.append(f"| {name} | {cell['mean']:.4f} | {cell['std']:.4f} | {cell['n']} |")
+    metric_rows = [(name, f"{cell['mean']:.4f}", f"{cell['std']:.4f}", str(cell["n"]))
+                   for name, cell in summary["metrics"].items()]
+    parts = [f"### {reports[0].system}: {len(reports)} run(s)",
+             markdown_table(("metric", "mean", "std", "n"), metric_rows)]
     if summary["bins"]:
-        lines.append("")
-        lines.append("| bin | entropy range (bits) | count | " + " | ".join(BIN_METRICS) + " |")
-        lines.append("|---" * (3 + len(BIN_METRICS)) + "|")
+        bin_rows = []
         for row in summary["bins"]:
             cells = [str(row["bin"]), f"[{row['lo']:.3f}, {row['hi']:.3f}]", str(row["count"])]
             cells += [f"{row['metrics'][name]['mean']:.4f}" if name in row["metrics"] else "-"
                       for name in BIN_METRICS]
-            lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)
-
-
-def render_json(reports, summary) -> str:
-    blob = {
-        "reports": [asdict(r) for r in reports],
-        "aggregate": summary,
-    }
-    return json.dumps(blob, indent=2) + "\n"
+            bin_rows.append(cells)
+        parts.append(markdown_table(("bin", "entropy range (bits)", "count", *BIN_METRICS), bin_rows))
+    return "\n\n".join(parts) + "\n"
 
 
 def emit_report(reports, stem) -> str:
@@ -261,7 +248,7 @@ def emit_report(reports, stem) -> str:
     """
     summary = aggregate(reports)
     markdown = render_markdown(reports, summary)
-    write_text_atomic(f"{stem}.json", render_json(reports, summary))
+    write_json(f"{stem}.json", {"reports": [asdict(r) for r in reports], "aggregate": summary})
     write_text_atomic(f"{stem}.csv", render_csv(reports, summary))
     write_text_atomic(f"{stem}.md", markdown)
     return markdown

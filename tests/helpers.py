@@ -1,6 +1,6 @@
 """Shared test oracles: finite-difference gradient checks, the composite
 autodiff ops the fused nodes replaced, the dataset parse before the column
-cache and the per-sample synthetic generator.
+cache, the per-sample synthetic generator and the per-class label metrics.
 
 The adaptive expert weights and (in detached mode) the expert branch of the
 consistency term are non-differentiable by design: they enter the graph as
@@ -247,6 +247,7 @@ def oracle_load_jsonl(path) -> Dataset:
 
     Lines end at LF alone, the JSON Lines rule: a CR before it is JSON
     whitespace, and no other line break (U+2028, U+0085, a lone CR) ends one.
+    A line is blank only when JSON whitespace (space, tab, CR) empties it.
     """
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
@@ -272,7 +273,7 @@ def oracle_load_jsonl(path) -> Dataset:
     ids = []
     seen_ids = set()
     for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        if not raw.strip(" \t\r"):
             continue
         record = _oracle_parse_json(raw, line_no, path)
         i = len(ids)
@@ -381,3 +382,30 @@ def oracle_generate_synthetic(cfg: SynthConfig) -> Dataset:
     order = rng.permutation(n)
     ids = np.array([f"synth-{i:06d}" for i in range(n)], dtype=object)
     return Dataset(ids[order], h_a[order], h_t[order], votes[order], cfg.fold_count)
+
+
+# ---------------------------------------------------------------------------
+# label metric oracle
+
+
+def oracle_cls_metrics(p, y):
+    """`evalreport._cls_metrics` as it was before its confusion matrix: three
+    boolean masks per class, then macro-F1, support-weighted F1 and accuracy."""
+    n_classes = y.shape[1]
+    p_hat = np.argmax(p, axis=1)
+    y_hat = np.argmax(y, axis=1)
+
+    f1 = np.zeros(n_classes)
+    support = np.zeros(n_classes)
+    for c in range(n_classes):
+        tp = int(np.sum((p_hat == c) & (y_hat == c)))
+        fp = int(np.sum((p_hat == c) & (y_hat != c)))
+        fn = int(np.sum((p_hat != c) & (y_hat == c)))
+        support[c] = tp + fn
+        if 2 * tp + fp + fn > 0:
+            f1[c] = 2.0 * tp / (2 * tp + fp + fn)
+
+    acc = float(np.mean(p_hat == y_hat))
+    macro = float(f1.mean())
+    wf1 = float((f1 * support).sum() / support.sum()) if support.sum() > 0 else 0.0
+    return {"F1_macro": macro, "WF1": wf1, "ACC": acc}

@@ -23,16 +23,15 @@ from hypothesis import strategies as st
 
 from amber import model, trainer
 from amber.cli import TRAIN_DEFAULTS, TRAIN_OPTIONS, _resolve_train_config, _train_config, build_parser, main
+from amber.dataio import load_jsonl
 from amber.errors import DataValidationError, NumericalAbortError
 from amber.evalreport import (
     BIN_METRICS,
     EvalReport,
-    aggregate,
     all_metrics,
     ambiguity_bins,
     emit_report,
     load_report,
-    render_json,
 )
 from amber.model import ModelConfig, init_params, save_checkpoint
 from amber.trainer import TrainConfig
@@ -425,6 +424,21 @@ def test_compare_relative_improvement_matches_reported_numbers(tmp_path, capsys)
     assert abs(float(row[4]) - (0.216 - 0.193) / 0.216) < 1e-12
 
 
+def test_compare_prints_its_markdown_table_byte_for_byte(tmp_path, capsys):
+    base, cand = tmp_path / "base.json", tmp_path / "cand.json"
+    _write_report(base, {"JS": 0.25, "BC": 0.75, "R2": 0.0, "ACC": 0.5})
+    _write_report(cand, {"JS": 0.125, "BC": 0.875, "R2": 0.25, "ACC": 0.375})
+    assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 0
+    assert capsys.readouterr().out == (
+        "| metric | baseline | candidate | delta | improvement |\n"
+        "|---|---|---|---|---|\n"
+        "| JS | 0.2500 | 0.1250 | -0.1250 | +50.0% |\n"
+        "| BC | 0.7500 | 0.8750 | +0.1250 | +16.7% |\n"
+        "| R2 | 0.0000 | 0.2500 | +0.2500 | - |\n"
+        "| ACC | 0.5000 | 0.3750 | -0.1250 | -25.0% |\n"
+    )
+
+
 def test_compare_metric_set_mismatch_is_data_error(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     _write_report(a, {"JS": 0.2, "BC": 0.8})
@@ -545,6 +559,19 @@ def test_records_separated_only_by_a_unicode_line_break_exit_2(tmp_path, capsys)
     bad.write_text(_HEADER + "\n" + _RECORDS[0] + "\n" + "\u2028".join(_RECORDS[1:]) + "\n", encoding="utf-8")
     assert main(_train_args(bad, tmp_path / "run")) == 2
     assert capsys.readouterr().err == f"amber: data validation error: {bad}: line 3: malformed JSON (Extra data)\n"
+
+
+@pytest.mark.parametrize("char", ["\u00a0", "\u2028", "\v", "\u3000"], ids=["U+00A0", "U+2028", "VT", "U+3000"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "over-a-clean-sidecar"])
+def test_a_line_of_whitespace_outside_json_exits_2_naming_it(tmp_path, capsys, char, warm):
+    data = tmp_path / "data.jsonl"
+    if warm:  # the sidecar of the clean file is keyed to other bytes, so the bad file is parsed
+        data.write_text("\n".join([_HEADER, *_RECORDS]) + "\n", encoding="utf-8")
+        load_jsonl(data)
+        assert data.with_name(".data.jsonl.amber-cache").exists()
+    data.write_text("\n".join([_HEADER, _RECORDS[0], char, *_RECORDS[1:]]) + "\n", encoding="utf-8")
+    assert main(_train_args(data, tmp_path / "run")) == 2
+    assert capsys.readouterr().err == f"amber: data validation error: {data}: line 3: malformed JSON (Expecting value)\n"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -714,7 +741,9 @@ def _fuzz_report_text():
         preds, targets = rng.dirichlet(np.ones(3), size=(2, 12))
         reports.append(EvalReport(system="amber", fold=fold, seed=0, metrics=all_metrics(preds, targets),
                                   bins=ambiguity_bins(preds, targets, 3)))
-    return render_json(reports, aggregate(reports))
+    with tempfile.TemporaryDirectory() as tmp:
+        emit_report(reports, Path(tmp) / "r")
+        return (Path(tmp) / "r.json").read_text()
 
 
 _REPORT_TEXT = _fuzz_report_text()

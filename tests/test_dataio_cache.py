@@ -342,6 +342,7 @@ _DAMAGE = {
     "header-without-newline": lambda p: _sidecar(p).write_bytes(_sidecar(p).read_bytes().replace(b"\n", b"", 1)),
     "v1-sidecar": _v1_sidecar,
     "v2-sidecar": lambda p: _edit_sidecar(p, format="amber-ds-cache-v2"),
+    "v3-sidecar": lambda p: _edit_sidecar(p, format="amber-ds-cache-v3"),
 }
 
 
@@ -401,7 +402,7 @@ def test_cold_loads_write_identical_sidecar_bytes(dataset):
     assert _sidecar(dataset).read_bytes() == first == _sidecar(other).read_bytes()
     header, body = _read_sidecar(dataset)
     assert list(header) == ["format", "sha256", "C", "dim_a", "dim_t", "folds", "ids"]
-    assert header["format"] == dataio.CACHE_FORMAT == "amber-ds-cache-v3"
+    assert header["format"] == dataio.CACHE_FORMAT == "amber-ds-cache-v4"
     assert header["ids"] == [r["id"] for r in RECORDS]
     want = oracle_load_jsonl(dataset)
     assert body == b"".join(np.asarray(getattr(want, k), dtype).tobytes() for k, dtype, _ in _COLUMNS)
@@ -449,3 +450,13 @@ def test_a_crlf_file_loads_the_columns_of_its_lf_twin(dataset):
     lf = load_jsonl(dataset)
     assert_same_dataset(load_jsonl(crlf), lf)  # cold
     assert_same_dataset(load_jsonl(crlf), lf)  # from its sidecar
+
+
+def test_a_line_of_spaces_tabs_or_cr_stays_blank(dataset):
+    lines = BASE.split(b"\n")
+    spaced = dataset.with_name("spaced.jsonl")
+    spaced.write_bytes(b"\n".join([*lines[:2], b" ", *lines[2:4], b"\t", b"\r", b" \t\r \t", *lines[4:]]))
+    lf = load_jsonl(dataset)
+    assert_same_dataset(oracle_load_jsonl(spaced), lf)
+    assert_same_dataset(load_jsonl(spaced), lf)  # cold
+    assert_same_dataset(load_jsonl(spaced), lf)  # from its sidecar

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amber import evalreport
+from amber import dataio, evalreport
 from amber.dataio import write_text_atomic
 from amber.distlib import bhattacharyya_rows, js_divergence_rows
 from amber.evalreport import (
@@ -21,6 +23,7 @@ from amber.evalreport import (
     render_csv,
     render_markdown,
 )
+from helpers import oracle_cls_metrics, traced_peak_bytes
 
 # Hand-computed two-sample fixture (mpmath oracle for JS/BC, exact fractions
 # for R2): targets/preds below give ss_res = 0.045, ss_tot = 0.0475.
@@ -159,6 +162,38 @@ def test_cls_metrics_match_brute_force_oracle_exactly():
         assert got == want
 
 
+@st.composite
+def _label_matrices(draw):
+    """(preds, targets): C in [2, 8], classes outside a drawn live set absent
+    from both, and small integer weights, so that argmax ties are common."""
+    c = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 30))
+    live = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
+
+    def matrix():
+        w = np.zeros((n, c))
+        w[:, live] = draw(st.lists(st.lists(st.integers(0, 2), min_size=len(live), max_size=len(live)),
+                                   min_size=n, max_size=n))
+        w[w.sum(axis=1) == 0, live[0]] = 1.0
+        return w / w.sum(axis=1, keepdims=True)
+
+    return matrix(), matrix()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_matrices())
+def test_cls_metrics_are_bit_equal_to_the_per_class_loop(pair):
+    preds, targets = pair
+    assert _classification_metrics(preds, targets) == oracle_cls_metrics(preds, targets)
+
+
+def test_cls_metrics_hold_no_class_by_class_matrix():
+    # a C x C confusion matrix would hold 2000**2 int64 cells here (32 MB)
+    rng = np.random.default_rng(4)
+    preds, targets = rng.dirichlet(np.ones(2000), size=(2, 4))
+    assert traced_peak_bytes(lambda: all_metrics(preds, targets)) < 2_000_000
+
+
 def test_argmax_tie_breaks_to_lowest_class():
     targets = np.asarray([[0.5, 0.5]])
     preds = np.asarray([[0.5, 0.5]])
@@ -288,6 +323,33 @@ def test_markdown_round_trips_through_column_schema(tmp_path):
         assert abs(std - cell["std"]) <= 5e-5
 
 
+def test_markdown_bytes_of_a_two_run_report_with_an_empty_bin_and_no_r2():
+    def run(fold, js, acc, bin_acc):
+        m = {"JS": js, "BC": 0.875, "R2": None, "R2_raw": None, "F1_macro": 0.5, "WF1": 0.625, "ACC": acc}
+        return EvalReport("amber", fold, 0, m, [
+            {"bin": 0, "lo": 0.0, "hi": 0.5, "count": 3, "metrics": {**m, "ACC": bin_acc}},
+            {"bin": 1, "lo": 0.5, "hi": 1.0, "count": 0, "metrics": None},
+        ])
+
+    reports = [run(0, 0.125, 0.75, 1.0), run(1, 0.25, 0.5, 0.0)]
+    assert render_markdown(reports, aggregate(reports)) == (
+        "### amber: 2 run(s)\n"
+        "\n"
+        "| metric | mean | std | n |\n"
+        "|---|---|---|---|\n"
+        "| JS | 0.1875 | 0.0625 | 2 |\n"
+        "| BC | 0.8750 | 0.0000 | 2 |\n"
+        "| F1_macro | 0.5000 | 0.0000 | 2 |\n"
+        "| WF1 | 0.6250 | 0.0000 | 2 |\n"
+        "| ACC | 0.6250 | 0.1250 | 2 |\n"
+        "\n"
+        "| bin | entropy range (bits) | count | JS | BC | R2 | F1_macro | WF1 | ACC |\n"
+        "|---|---|---|---|---|---|---|---|---|\n"
+        "| 0 | [0.000, 0.500] | 6 | 0.1875 | 0.8750 | - | 0.5000 | 0.6250 | 0.5000 |\n"
+        "| 1 | [0.500, 1.000] | 0 | - | - | - | - | - | - |\n"
+    )
+
+
 def test_emit_report_validation(tmp_path):
     with pytest.raises(ValueError, match="nothing to aggregate"):
         emit_report([], tmp_path / "x")
@@ -296,8 +358,14 @@ def test_emit_report_validation(tmp_path):
 
 def test_emit_report_writes_json_csv_and_markdown_and_returns_the_markdown(tmp_path, monkeypatch):
     reports, written = _fake_reports(2), []
-    monkeypatch.setattr(evalreport, "write_text_atomic",
-                        lambda path, text: (written.append(path), write_text_atomic(path, text)))
+
+    def recording_write(path, text):
+        written.append(path)
+        write_text_atomic(path, text)
+
+    # `<stem>.json` goes through `dataio.write_json`, the other two straight from evalreport
+    monkeypatch.setattr(dataio, "write_text_atomic", recording_write)
+    monkeypatch.setattr(evalreport, "write_text_atomic", recording_write)
     markdown = emit_report(reports, tmp_path / "r")
     assert written == [f"{tmp_path / 'r'}.{ext}" for ext in ("json", "csv", "md")]
     summary = aggregate(reports)
