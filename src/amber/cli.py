@@ -1,4 +1,4 @@
-"""Command-line entry point: gen / train / eval / compare / bins.
+"""Command-line entry point: gen / train / eval / compare.
 
 Configuration precedence is flags > config file (JSON) > built-in defaults.
 The fully resolved configuration is frozen into a manifest next to the
@@ -114,14 +114,10 @@ def build_parser() -> _Parser:
     ev.add_argument("--bins", type=int, default=TrainConfig.n_bins)
     ev.add_argument("--out-dir", required=True)
 
-    cmp_ = sub.add_parser("compare", help="side-by-side aggregate of two report files")
+    cmp_ = sub.add_parser("compare", help="overall and per-bin means of two report files, side by side")
     cmp_.add_argument("--baseline", required=True)
     cmp_.add_argument("--candidate", required=True)
     cmp_.add_argument("--out", help="write the comparison table as CSV")
-
-    bins = sub.add_parser("bins", help="entropy-binned table from report files")
-    bins.add_argument("--report", action="append", required=True, help="repeatable, max twice")
-    bins.add_argument("--out", help="write the binned table as CSV")
 
     return parser
 
@@ -329,70 +325,50 @@ def cmd_eval(ns, parser):
     return EXIT_OK
 
 
-def _relative_improvement(metric, base, cand):
-    if base == 0:
-        return None
-    if metric in evalreport.LOWER_IS_BETTER:
-        return (base - cand) / base
-    return (cand - base) / base
+def _compare_row(scope, name, base, cand):
+    """(bin, metric, baseline, candidate, delta, improvement) of one metric's means; None where a side has none.
+
+    The improvement is the change over |baseline|, signed so that a positive
+    value is better (also over a negative baseline); None for a baseline of 0.
+    """
+    b, c = (cells[name]["mean"] if name in cells else None for cells in (base, cand))
+    if b is None or c is None:
+        return scope, name, b, c, None, None
+    gain = b - c if name in evalreport.LOWER_IS_BETTER else c - b
+    return scope, name, b, c, c - b, gain / abs(b) if b else None
 
 
 def cmd_compare(ns, parser):
-    _, base_agg = evalreport.load_report(ns.baseline)
-    _, cand_agg = evalreport.load_report(ns.candidate)
-    base_metrics, cand_metrics = base_agg["metrics"], cand_agg["metrics"]
-    if set(base_metrics) != set(cand_metrics):
-        missing = set(base_metrics) ^ set(cand_metrics)
+    _, base = evalreport.load_report(ns.baseline)
+    _, cand = evalreport.load_report(ns.candidate)
+    if set(base["metrics"]) != set(cand["metrics"]):
+        missing = set(base["metrics"]) ^ set(cand["metrics"])
         raise DataValidationError(f"metric sets differ from baseline {ns.baseline}: {sorted(missing)}",
                                   path=ns.candidate)
+    base_edges, cand_edges = ([[row["lo"], row["hi"]] for row in agg["bins"]] for agg in (base, cand))
+    if cand_edges != base_edges:
+        raise DataValidationError(f"bin edges differ from baseline {ns.baseline}: {cand_edges} vs {base_edges}",
+                                  path=ns.candidate)
 
-    rows = []
-    for name in evalreport.METRIC_ORDER:
-        if name in base_metrics:
-            b, c = base_metrics[name]["mean"], cand_metrics[name]["mean"]
-            rows.append((name, b, c, c - b, _relative_improvement(name, b, c)))
+    rows = [_compare_row("all", name, base["metrics"], cand["metrics"])
+            for name in evalreport.METRIC_ORDER if name in base["metrics"]]
+    for i, (b, c) in enumerate(zip(base["bins"], cand["bins"])):
+        rows += [_compare_row(i, name, b["metrics"], c["metrics"])
+                 for name in evalreport.BIN_METRICS if name in b["metrics"] or name in c["metrics"]]
+
+    def cell(x, spec):
+        return "-" if x is None else format(x, spec)
 
     print(evalreport.markdown_table(
-        ("metric", "baseline", "candidate", "delta", "improvement"),
-        [(name, f"{b:.4f}", f"{c:.4f}", f"{delta:+.4f}", "-" if rel is None else f"{100 * rel:+.1f}%")
-         for name, b, c, delta, rel in rows]))
+        ("bin", "metric", "baseline", "candidate", "delta", "improvement"),
+        [(str(scope), name, cell(b, ".4f"), cell(c, ".4f"), cell(delta, "+.4f"), cell(rel, "+.1%"))
+         for scope, name, b, c, delta, rel in rows]))
 
     if ns.out:
-        header = ["metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
-        cells = [[name, repr(b), repr(c), repr(delta), "" if rel is None else repr(rel)]
-                 for name, b, c, delta, rel in rows]
-        write_text_atomic(ns.out, evalreport.csv_text(header, cells))
-    return EXIT_OK
-
-
-def cmd_bins(ns, parser):
-    if len(ns.report) > 2:
-        parser.error("--report may be given at most twice")
-    names, tables = [], []
-    for path in ns.report:
-        reports, agg = evalreport.load_report(path)
-        names.append(reports[0].system if reports else path)
-        tables.append(agg["bins"])
-    edges = [[[row["lo"], row["hi"]] for row in bins] for bins in tables]
-    if edges[-1] != edges[0]:
-        raise DataValidationError(f"bin edges differ from those of {ns.report[0]}: {edges[-1]} vs {edges[0]}",
-                                  path=ns.report[-1])
-    if len(set(names)) < len(names):  # a run and its ablation: number the columns by --report
-        names = [f"{name}#{k}" for k, name in enumerate(names, 1)]
-
-    header = ["bin", "lo", "hi"] + [f"{name}:{m}" for name in names for m in evalreport.BIN_METRICS]
-    rows = []
-    for i, (lo, hi) in enumerate(edges[0]):
-        row = [i, f"{lo:.4f}", f"{hi:.4f}"]
-        for bins in tables:
-            cells = bins[i]["metrics"]
-            row += [repr(cells[m]["mean"]) if m in cells else "" for m in evalreport.BIN_METRICS]
-        rows.append(row)
-
-    text = evalreport.csv_text(header, rows)
-    print(text, end="")
-    if ns.out:
-        write_text_atomic(ns.out, text)
+        header = ["bin", "metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
+        write_text_atomic(ns.out, evalreport.csv_text(
+            header, [[scope, name, *("" if x is None else repr(x) for x in numbers)]
+                     for scope, name, *numbers in rows]))
     return EXIT_OK
 
 
@@ -410,7 +386,6 @@ def main(argv=None) -> int:
         "train": cmd_train,
         "eval": cmd_eval,
         "compare": cmd_compare,
-        "bins": cmd_bins,
     }
     try:
         return handlers[ns.command](ns, parser)

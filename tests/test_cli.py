@@ -414,14 +414,18 @@ def test_compare_identical_reports_zero_deltas(tmp_path, capsys):
 
 def test_compare_relative_improvement_matches_reported_numbers(tmp_path, capsys):
     base, cand = tmp_path / "base.json", tmp_path / "cand.json"
-    _write_report(base, {"JS": 0.216})
-    _write_report(cand, {"JS": 0.193})
+    # R2_raw can be negative: a better candidate over a negative baseline still improves by a positive share
+    _write_report(base, {"JS": 0.216, "R2_raw": -0.0886})
+    _write_report(cand, {"JS": 0.193, "R2_raw": 0.0043})
     out_csv = tmp_path / "cmp.csv"
     assert main(["compare", "--baseline", str(base), "--candidate", str(cand),
                  "--out", str(out_csv)]) == 0
-    assert "+10.6%" in capsys.readouterr().out
-    row = out_csv.read_text().splitlines()[1].split(",")
-    assert abs(float(row[4]) - (0.216 - 0.193) / 0.216) < 1e-12
+    out = capsys.readouterr().out
+    assert "| all | JS | 0.2160 | 0.1930 | -0.0230 | +10.6% |" in out
+    assert "| all | R2_raw | -0.0886 | 0.0043 | +0.0929 | +104.9% |" in out
+    js, r2_raw = (row.split(",") for row in out_csv.read_text().splitlines()[1:])
+    assert abs(float(js[5]) - (0.216 - 0.193) / 0.216) < 1e-12
+    assert abs(float(r2_raw[5]) - (0.0043 + 0.0886) / 0.0886) < 1e-12
 
 
 def test_compare_prints_its_markdown_table_byte_for_byte(tmp_path, capsys):
@@ -430,12 +434,48 @@ def test_compare_prints_its_markdown_table_byte_for_byte(tmp_path, capsys):
     _write_report(cand, {"JS": 0.125, "BC": 0.875, "R2": 0.25, "ACC": 0.375})
     assert main(["compare", "--baseline", str(base), "--candidate", str(cand)]) == 0
     assert capsys.readouterr().out == (
-        "| metric | baseline | candidate | delta | improvement |\n"
-        "|---|---|---|---|---|\n"
-        "| JS | 0.2500 | 0.1250 | -0.1250 | +50.0% |\n"
-        "| BC | 0.7500 | 0.8750 | +0.1250 | +16.7% |\n"
-        "| R2 | 0.0000 | 0.2500 | +0.2500 | - |\n"
-        "| ACC | 0.5000 | 0.3750 | -0.1250 | -25.0% |\n"
+        "| bin | metric | baseline | candidate | delta | improvement |\n"
+        "|---|---|---|---|---|---|\n"
+        "| all | JS | 0.2500 | 0.1250 | -0.1250 | +50.0% |\n"
+        "| all | BC | 0.7500 | 0.8750 | +0.1250 | +16.7% |\n"
+        "| all | R2 | 0.0000 | 0.2500 | +0.2500 | - |\n"
+        "| all | ACC | 0.5000 | 0.3750 | -0.1250 | -25.0% |\n"
+    )
+
+
+def _report_with_bins(path, metrics, bin_metrics):
+    """A one-run report whose bin k spans [k/2, (k+1)/2] and holds `bin_metrics[k]` (None: an empty bin)."""
+    bins = [{"bin": k, "lo": k / 2, "hi": (k + 1) / 2, "count": 0 if cells is None else 4, "metrics": cells}
+            for k, cells in enumerate(bin_metrics)]
+    emit_report([EvalReport(system="x", fold=0, seed=0, metrics=metrics, bins=bins)], path.with_suffix(""))
+
+
+def test_compare_prints_overall_and_per_bin_rows_byte_for_byte(tmp_path, capsys):
+    """Bin 1 is empty in both reports and bin 2 in the baseline alone; R2 is undefined in the candidate's bin 0."""
+    base, cand, out = tmp_path / "base.json", tmp_path / "cand.json", tmp_path / "cmp.csv"
+    _report_with_bins(base, {"JS": 0.25, "ACC": 0.5}, [{"JS": 0.125, "R2": 0.5, "ACC": 1.0}, None, None])
+    _report_with_bins(cand, {"JS": 0.125, "ACC": 0.625}, [{"JS": 0.0625, "ACC": 0.5}, None, {"JS": 0.75, "ACC": 0.0}])
+    assert main(["compare", "--baseline", str(base), "--candidate", str(cand), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "| bin | metric | baseline | candidate | delta | improvement |\n"
+        "|---|---|---|---|---|---|\n"
+        "| all | JS | 0.2500 | 0.1250 | -0.1250 | +50.0% |\n"
+        "| all | ACC | 0.5000 | 0.6250 | +0.1250 | +25.0% |\n"
+        "| 0 | JS | 0.1250 | 0.0625 | -0.0625 | +50.0% |\n"
+        "| 0 | R2 | 0.5000 | - | - | - |\n"
+        "| 0 | ACC | 1.0000 | 0.5000 | -0.5000 | -50.0% |\n"
+        "| 2 | JS | - | 0.7500 | - | - |\n"
+        "| 2 | ACC | - | 0.0000 | - | - |\n"
+    )
+    assert out.read_text() == (
+        "bin,metric,baseline_mean,candidate_mean,delta,relative_improvement\n"
+        "all,JS,0.25,0.125,-0.125,0.5\n"
+        "all,ACC,0.5,0.625,0.125,0.25\n"
+        "0,JS,0.125,0.0625,-0.0625,0.5\n"
+        "0,R2,0.5,,,\n"
+        "0,ACC,1.0,0.5,-0.5,-0.5\n"
+        "2,JS,,0.75,,\n"
+        "2,ACC,,0.0,,\n"
     )
 
 
@@ -448,58 +488,54 @@ def test_compare_metric_set_mismatch_is_data_error(tmp_path, capsys):
         f"amber: data validation error: {b}: metric sets differ from baseline {a}: ['BC']\n")
 
 
-def test_bins_command_prints_table(dataset, tmp_path, capsys):
-    run = tmp_path / "run"
-    assert main(_train_args(dataset, run)) == 0
-    out_csv = tmp_path / "bins.csv"
-    assert main(["bins", "--report", str(run / "report.json"), "--out", str(out_csv)]) == 0
-    lines = out_csv.read_text().splitlines()
-    assert lines[0].startswith("bin,lo,hi,")
-    assert len(lines) == 4  # 3 bins + header
-
-
-def _binned_report(path, system, n_bins, seed=0):
+def _binned_report(path, system, n_bins, seed=0, n_classes=3):
     rng = np.random.default_rng(seed)
-    preds, targets = rng.dirichlet(np.ones(3), size=(2, 40))
+    preds, targets = rng.dirichlet(np.ones(n_classes), size=(2, 40))
     report = EvalReport(system=system, fold=0, seed=seed, metrics=all_metrics(preds, targets),
                         bins=ambiguity_bins(preds, targets, n_bins))
     emit_report([report], path.with_suffix(""))
 
 
-def test_bins_rejects_reports_with_different_bin_edges(tmp_path, capsys):
-    four, two, out = tmp_path / "four.json", tmp_path / "two.json", tmp_path / "bins.csv"
+def test_compare_prints_every_bin_of_a_train_report(dataset, tmp_path, capsys):
+    run, other, out = tmp_path / "run", tmp_path / "other.json", tmp_path / "cmp.csv"
+    assert main(_train_args(dataset, run)) == 0
+    _binned_report(other, "amber", 3)  # the train's system, class count and bin count: the same edges
+    capsys.readouterr()
+    assert main(["compare", "--baseline", str(run / "report.json"), "--candidate", str(other),
+                 "--out", str(out)]) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(rows)
+
+    def mean(cells, name):
+        return repr(cells[name]["mean"]) if name in cells else ""
+
+    (_, base), (_, cand) = load_report(run / "report.json"), load_report(other)
+    expected = [("all", name, mean(base["metrics"], name), mean(cand["metrics"], name)) for name in base["metrics"]]
+    for k, (b, c) in enumerate(zip(base["bins"], cand["bins"])):
+        expected += [(str(k), name, mean(b["metrics"], name), mean(c["metrics"], name))
+                     for name in BIN_METRICS if name in b["metrics"] or name in c["metrics"]]
+    assert len(base["bins"]) == 3 and len(expected) > len(base["metrics"])
+    assert [(row["bin"], row["metric"], row["baseline_mean"], row["candidate_mean"]) for row in rows] == expected
+
+
+def test_compare_rejects_reports_with_different_bin_edges(tmp_path, capsys):
+    four, two, four_classes, out = (tmp_path / name for name in ("four.json", "two.json", "c4.json", "cmp.csv"))
     _binned_report(four, "amber", 4)
     _binned_report(two, "cbce", 2)
-    assert main(["bins", "--report", str(four), "--report", str(two), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and not out.exists()
-    assert captured.err.startswith(f"amber: data validation error: {two}: bin edges differ from those of {four}: ")
-    assert captured.err.count("\n") == 1
+    _binned_report(four_classes, "amber", 4, n_classes=4)  # as many bins as `four`, over [0, 2] bits
+    for base, cand in [(four, two), (four, four_classes)]:
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"amber: data validation error: {cand}: bin edges differ from baseline {base}: ")
+        assert captured.err.count("\n") == 1
 
 
-def test_bins_numbers_the_columns_of_two_reports_of_one_system(tmp_path, capsys):
-    run, ablation, out = tmp_path / "run.json", tmp_path / "ablation.json", tmp_path / "bins.csv"
-    _binned_report(run, "amber", 3, seed=0)
-    _binned_report(ablation, "amber", 3, seed=1)
-    assert main(["bins", "--report", str(run), "--report", str(ablation), "--out", str(out)]) == 0
-    header = out.read_text().splitlines()[0].split(",")
-    assert len(set(header)) == len(header)
-    assert header[3] == "amber#1:JS" and header[3 + len(BIN_METRICS)] == "amber#2:JS"
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    for k, path in enumerate((run, ablation), 1):
-        _, agg = load_report(path)
-        means = [repr(cell["metrics"]["JS"]["mean"]) if cell["count"] else "" for cell in agg["bins"]]
-        assert [row[f"amber#{k}:JS"] for row in rows] == means
-
-
-def test_bins_keeps_the_system_names_of_two_different_systems(tmp_path, capsys):
-    amber_report, cbce_report = tmp_path / "amber.json", tmp_path / "cbce.json"
-    _binned_report(amber_report, "amber", 3)
-    _binned_report(cbce_report, "cbce", 3, seed=1)
-    assert main(["bins", "--report", str(amber_report), "--report", str(cbce_report)]) == 0
-    header = capsys.readouterr().out.splitlines()[0]
-    assert header == ",".join(["bin", "lo", "hi"] + [f"{system}:{m}" for system in ("amber", "cbce")
-                                                     for m in BIN_METRICS])
+def test_bins_is_no_longer_a_command(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    _binned_report(report, "amber", 3)
+    assert main(["bins", "--report", str(report)]) == 1
+    assert "invalid choice: 'bins'" in capsys.readouterr().err
 
 
 def test_malformed_datasets_exit_2_with_line_numbers(tmp_path, capsys):
@@ -715,7 +751,7 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))
         assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, blob
-        assert main(["bins", "--report", str(bad)]) == 2, blob
+        assert main(["compare", "--baseline", str(good), "--candidate", str(bad)]) == 2, blob
         assert "data validation error" in capsys.readouterr().err
     unknown_names = {  # names that no aggregate of `emit_report` holds
         "unknown aggregate keys: ['extra']": lambda agg: agg.update(extra=5),
@@ -729,8 +765,8 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
         edit(blob["aggregate"])
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))
+        assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, named
         assert main(["compare", "--baseline", str(good), "--candidate", str(bad)]) == 2, named
-        assert main(["bins", "--report", str(bad)]) == 2, named
         assert capsys.readouterr().err.count(named) == 2, named
 
 
@@ -805,8 +841,6 @@ def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_p
     shapes = (
         ["compare", "--baseline", str(bad), "--candidate", str(good)],
         ["compare", "--baseline", str(good), "--candidate", str(bad), "--out", str(out)],
-        ["bins", "--report", str(bad)],
-        ["bins", "--report", str(good), "--report", str(bad), "--out", str(out)],
     )
     for args in shapes:
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -830,7 +864,7 @@ _JSON_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("command", ["eval", "compare", "bins", "train", "data"])
+@pytest.mark.parametrize("command", ["eval", "compare", "train", "data"])
 def test_json_nested_too_deeply_exits_2_naming_the_file(dataset, tmp_path, capsys, command):
     """Every fault of `_JSON_FAULTS`, in the file one reader takes in, exits 2 with one line naming the file."""
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
@@ -840,7 +874,6 @@ def test_json_nested_too_deeply_exits_2_naming_the_file(dataset, tmp_path, capsy
         args = {
             "eval": ["eval", "--checkpoint", str(bad), "--data", str(dataset), "--out-dir", str(out)],
             "compare": ["compare", "--baseline", str(good), "--candidate", str(bad)],
-            "bins": ["bins", "--report", str(good), "--report", str(bad)],
             "train": _train_args(dataset, out, **{"--config": bad}),
             "data": _train_args(bad, out),
         }[command]
@@ -876,7 +909,7 @@ def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
     a_folder.mkdir()
     for args, out, code in [
         (["compare", "--baseline", str(report), "--candidate", str(report)], in_missing, errno.ENOENT),
-        (["bins", "--report", str(report)], a_folder, errno.EISDIR),
+        (["compare", "--baseline", str(report), "--candidate", str(report)], a_folder, errno.EISDIR),
     ]:
         before = sorted(os.listdir(tmp_path))
         assert main(args + ["--out", str(out)]) == 2, args
