@@ -10,15 +10,13 @@ gradient arrays are never written once a node holds them, and the traversal
 order is a pure function of graph structure, so repeated runs are
 bit-identical.
 
-Gradient buffers: a `requires_grad` leaf holds a zero buffer from
-construction, and an interior node `grad = None`. `backward` resets every
-node it reaches to `None`; a node it does not reach keeps what it held, the
-zero buffer or the gradient of an earlier root that reached it. The first
-accumulation assigns the incoming array (so nodes may share one) and later
-ones add out of place. Once an interior node's closure has routed its
-gradient on to its parents, `backward` drops that node's `grad` again, so
-only the leaves keep theirs and an interior gradient lives no longer than
-the step that consumes it. `stop_grad` is the one way to detach.
+Gradients: every node starts with `grad = None`. `backward` gives every
+node it reaches this root's gradient; a node it does not reach keeps what it
+held. The first accumulation assigns the incoming array (so nodes may share
+one) and later ones add out of place. Once an interior node's closure has
+routed its gradient on to its parents, `backward` drops that node's `grad`
+again, so only the leaves keep theirs and an interior gradient lives no
+longer than the step that consumes it. `constant(x.data)` detaches.
 
 Fused nodes: `linear` is `add(matmul(x, w), b)`, `linear_relu` is `relu` of
 it, and `gated_fusion` is the whole gated fusion of two inputs, each as one
@@ -43,18 +41,14 @@ _LOG2 = np.log(2.0)
 
 
 class Tensor:
-    """A node of the computation graph.
-
-    A leaf created with `requires_grad=True` gets a zero gradient buffer
-    up front; an interior node (built by `_node`) starts with `grad = None`.
-    """
+    """A node of the computation graph; its `grad` is None until a `backward` reaches it."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.data) if self.requires_grad else None
+        self.grad = None
         self._parents = ()
         self._backward = None
 
@@ -63,7 +57,7 @@ class Tensor:
 
 
 def constant(data) -> Tensor:
-    """A tensor that never receives gradient (e.g. targets, frozen weights)."""
+    """A tensor that never receives gradient (targets, frozen weights); `constant(x.data)` detaches `x`."""
     return Tensor(data, requires_grad=False)
 
 
@@ -81,7 +75,7 @@ def _node(data, parents, backward) -> Tensor:
 
 
 def backward(root: Tensor):
-    """Fill the `grad` buffers of the graph under `root` with d(root)/d(node).
+    """Give every node of the graph under `root` its gradient d(root)/d(node).
 
     `root` must hold a single value. Visits nodes in reverse topological
     order (children before parents), depth-first over the ordered parent
@@ -311,11 +305,6 @@ def scalar_mul(c: float, x: Tensor) -> Tensor:
     return _node(c * x.data, (x,), bwd)
 
 
-def stop_grad(x: Tensor) -> Tensor:
-    """Graph node that passes the value through and blocks all gradient."""
-    return Tensor(x.data, requires_grad=False)
-
-
 # ---------------------------------------------------------------------------
 # fused loss nodes
 
@@ -325,7 +314,7 @@ def js_loss_node(p: Tensor, q: Tensor) -> Tensor:
 
     Forward values come from `distlib` (exact 0 log 0 handling); the
     gradient is 0.5 * log2(x / m) / batch with arguments clamped at
-    `GRAD_LOG_FLOOR`. To detach one side, pass it through `stop_grad`.
+    `GRAD_LOG_FLOOR`. To detach one side, pass it as `constant(x.data)`.
     """
     if p.data.shape != q.data.shape or p.data.ndim != 2:
         raise ValueError(f"js_loss_node shape mismatch: {p.data.shape} vs {q.data.shape}")

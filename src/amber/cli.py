@@ -355,6 +355,10 @@ def cmd_compare(ns, parser):
     for i, (b, c) in enumerate(zip(base["bins"], cand["bins"])):
         rows += [_compare_row(i, name, b["metrics"], c["metrics"])
                  for name in evalreport.BIN_METRICS if name in b["metrics"] or name in c["metrics"]]
+    for scope, name, _, _, delta, _ in rows:
+        if delta is not None and not math.isfinite(delta):
+            raise DataValidationError(f"{name} (bin {scope}) differs from baseline {ns.baseline} "
+                                      "by more than the float range", path=ns.candidate)
 
     def cell(x, spec):
         return "-" if x is None else format(x, spec)

@@ -260,7 +260,8 @@ def _is_number(value) -> bool:
 
 
 def load_report(path):
-    """Read back a JSON report: (reports, aggregate), with every key and aggregate cell checked."""
+    """Read back a JSON report: (reports, aggregate), with every key and aggregate cell checked
+    and every aggregate `mean` and `std` a float."""
     try:
         blob = read_json(Path(path).read_bytes())
         check_keys(blob, ("reports", "aggregate"), (), "report keys")
@@ -283,6 +284,7 @@ def load_report(path):
                 if not (_is_number(cell["mean"]) and _is_number(cell["std"]) and type(cell["n"]) is int
                         and cell["n"] >= 1):
                     raise ValueError(f"metric {name!r} needs a number 'mean' and 'std' and a positive int 'n'")
+                cell["mean"], cell["std"] = float(cell["mean"]), float(cell["std"])
     except ValueError as exc:
         raise DataValidationError(f"invalid report: {exc}", path=path) from None
     return [EvalReport(**run) for run in runs], summary

@@ -9,9 +9,9 @@ the labels gives the rater term, those divergences and the expert supervision.
 
 Gradient-flow policy: the reliability weights u_m are computed from detached
 forward values and never carry gradient. In the default "detached" mode the
-expert predictions inside the consistency term pass through stop-gradient
-nodes as well (experts teach, the student learns); "coupled" mode lets the
-consistency term pull experts toward the student and is kept for ablations.
+expert predictions enter the consistency term as constants as well (experts
+teach, the student learns); "coupled" mode lets the consistency term pull
+experts toward the student and is kept for ablations.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def mai_loss(s: ad.Tensor, experts: dict, d: dict, cfg: LossConfig):
     u = expert_weights(d, cfg.kappa)
     node = None
     for m, p in experts.items():
-        term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.stop_grad(p) if detach else p))
+        term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.constant(p.data) if detach else p))
         node = term if node is None else ad.add(node, term)
     return node, u
 

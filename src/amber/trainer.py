@@ -140,9 +140,10 @@ def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
 
     The forward builds only the heads the objective reads: all three for
     amber, the student alone for cbce, so a head cbce does not train is not
-    run and cannot abort the step. The batch's graph lives only in this
-    call's locals, so it is freed on return, before the next batch's forward
-    starts.
+    run and cannot abort the step. A parameter `backward` does not reach (a
+    head the objective does not train) steps with a zero gradient. The
+    batch's graph lives only in this call's locals, so it is freed on return,
+    before the next batch's forward starts.
     """
     tensors = wrap_params(params)
     heads = MODALITIES if cfg.objective == "amber" else (cfg.model.student,)
@@ -156,7 +157,8 @@ def _train_step(params, state, cfg, h_a, h_t, y, class_weights):
         if not np.isfinite(total.data):
             raise NumericalAbortError("non-finite training loss")
         ad.backward(total)
-    opt_step(params, {name: t.grad for name, t in tensors.items()}, state, cfg)
+    opt_step(params, {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                      for name, t in tensors.items()}, state, cfg)
     return fields
 
 

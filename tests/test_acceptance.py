@@ -41,9 +41,10 @@ RUN_BUDGET_SECONDS = 300.0
 @pytest.fixture(scope="module")
 def effect_runs():
     # Runs are bit-identical at any worker count (criterion 7), so the fixture
-    # uses two workers where it has two cores. Busy workers take no less time
-    # per run than one alone, so elapsed * jobs / runs never understates it.
-    jobs = min(2, len(os.sched_getaffinity(0)))
+    # uses one worker per core it may run on; `cross_validate` starts no more
+    # workers than the 25 runs. Busy workers take no less time per run than
+    # one alone, so elapsed * jobs / runs never understates it.
+    jobs = len(os.sched_getaffinity(0))
     ds = generate_synthetic(SYNTH)
     model_cfg = ModelConfig(dim_a=SYNTH.dim_a, dim_t=SYNTH.dim_t, n_classes=SYNTH.n_classes)
     results = {}

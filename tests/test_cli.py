@@ -443,6 +443,40 @@ def test_compare_prints_its_markdown_table_byte_for_byte(tmp_path, capsys):
     )
 
 
+def _with_integer_cells(path, metric, mean):
+    """Hand-edit the aggregate cell of `metric` to an integer `mean` and `std` 0, as `emit_report` never writes them."""
+    blob = json.loads(path.read_text())
+    blob["aggregate"]["metrics"][metric].update(mean=mean, std=0)
+    path.write_text(json.dumps(blob))
+
+
+def test_compare_reads_integer_means_as_the_floats_they_equal(tmp_path, capsys):
+    base, cand, out = tmp_path / "base.json", tmp_path / "cand.json", tmp_path / "cmp.csv"
+    _write_report(base, {"BC": 0.0})
+    _write_report(cand, {"BC": 1.0})
+    seen = []
+    for integers in (False, True):
+        if integers:
+            _with_integer_cells(base, "BC", 0)
+            _with_integer_cells(cand, "BC", 1)
+        assert main(["compare", "--baseline", str(base), "--candidate", str(cand), "--out", str(out)]) == 0
+        seen.append((capsys.readouterr().out, out.read_text()))
+    assert seen[0] == seen[1]
+    assert seen[1][1].splitlines()[1] == "all,BC,0.0,1.0,1.0,"
+
+
+def test_compare_with_a_delta_outside_the_float_range_exits_2_naming_both_files(tmp_path, capsys):
+    base, cand, out = tmp_path / "base.json", tmp_path / "cand.json", tmp_path / "cmp.csv"
+    for path, mean in [(base, -10**308), (cand, 10**308)]:
+        _write_report(path, {"JS": 0.25, "BC": 0.5})
+        _with_integer_cells(path, "BC", mean)
+    assert main(["compare", "--baseline", str(base), "--candidate", str(cand), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"amber: data validation error: {cand}: BC (bin all) differs from baseline {base} "
+                            "by more than the float range\n")
+
+
 def _report_with_bins(path, metrics, bin_metrics):
     """A one-run report whose bin k spans [k/2, (k+1)/2] and holds `bin_metrics[k]` (None: an empty bin)."""
     bins = [{"bin": k, "lo": k / 2, "hi": (k + 1) / 2, "count": 0 if cells is None else 4, "metrics": cells}

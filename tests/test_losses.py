@@ -129,7 +129,7 @@ def test_mai_detached_blocks_expert_gradient():
     node, _ = mai_loss(outputs["at"], experts, _divergences(y, experts), LossConfig())
     ad.backward(node)
     for name in ("a.w1", "a.b1", "a.w2", "a.b2", "t.w1", "t.w2"):
-        assert np.array_equal(tensors[name].grad, np.zeros_like(tensors[name].grad))
+        assert tensors[name].grad is None
     assert np.any(tensors["at.w2"].grad != 0)
 
 
@@ -172,12 +172,15 @@ def test_amber_reduces_to_rai_when_mai_and_supervision_off():
     assert float(total.data) == float(direct.data)
 
     ad.backward(total)
-    grads = {k: t.grad.copy() for k, t in tensors.items()}
+    grads = {k: t.grad for k, t in tensors.items()}
     for t in tensors.values():
-        t.grad = np.zeros_like(t.data)
+        t.grad = None
     ad.backward(direct)
     for k, t in tensors.items():
-        assert np.array_equal(grads[k], t.grad)
+        if k.startswith(("a.", "t.")):
+            assert grads[k] is None and t.grad is None  # neither root reaches an expert head
+        else:
+            assert np.array_equal(grads[k], t.grad)
 
 
 def test_amber_zero_when_every_head_predicts_labels():

@@ -55,6 +55,25 @@ def test_opt_step_decoupled_decay_shrinks_without_gradient():
     assert abs(params["x"][0] - 2.0 * (1 - 0.1 * 0.5) ** 2) < 1e-15
 
 
+def test_cbce_step_moves_the_heads_it_does_not_read_as_adamw_does_with_a_zero_gradient():
+    # the Adam term is 0 / (0 + EPS), so only the decoupled weight decay moves them, bit for bit
+    cfg = TrainConfig(model=_model_cfg(), objective="cbce")
+    rng = np.random.default_rng(3)
+    params = trainer_mod.init_params(cfg.model, rng)
+    before, state = dict(params), init_opt_state(params)
+    h_a, h_t, y = rng.standard_normal((8, 6)), rng.standard_normal((8, 6)), rng.dirichlet(np.ones(4), size=8)
+    trainer_mod._train_step(params, state, cfg, h_a, h_t, y, class_weights_from(y))
+    offset = 0
+    for name, theta in before.items():
+        span = slice(offset, offset + theta.size)
+        offset += theta.size
+        if name.startswith(("a.", "t.")):
+            assert params[name].tobytes() == (theta - cfg.lr * (0.0 + cfg.weight_decay * theta)).tobytes(), name
+            assert not state.m[span].any() and not state.v[span].any(), name
+        else:
+            assert state.m[span].any(), name
+
+
 def test_opt_step_rejects_non_finite_gradient_before_any_update():
     cfg = TrainConfig(model=_model_cfg())
     params = {"a": np.asarray([1.0]), "b": np.asarray([2.0]), "c": np.asarray([3.0])}
