@@ -46,9 +46,8 @@ def _as_matrices(preds, targets):
 
     Rows are checked as a `SoftLabel` checks one: finite, non-negative and
     summing to one within `distlib.SUM_TOLERANCE`. Both must have the same
-    non-empty shape. Each entry point checks its own inputs, so `all_metrics`
-    checks a pair again in `dist_metrics`, and `ambiguity_bins` each bin's rows
-    again in `all_metrics`: one O(n * C) pass each.
+    non-empty shape. Each public metric function checks its pair once and
+    computes through the private helpers, which check nothing.
     """
     p, y = np.asarray(preds, dtype=np.float64), np.asarray(targets, dtype=np.float64)
     for m in (p, y):
@@ -58,18 +57,21 @@ def _as_matrices(preds, targets):
             raise ValueError("distribution entries must be finite and non-negative")
         if np.any(np.abs(m.sum(axis=1) - 1.0) > distlib.SUM_TOLERANCE):
             raise ValueError(f"distribution rows must sum to one within {distlib.SUM_TOLERANCE}")
-    if p.shape != y.shape or p.shape[0] < 1:
+    if p.shape != y.shape:
         raise ValueError(f"prediction/target shapes differ: {p.shape} vs {y.shape}")
+    if p.shape[0] < 1:
+        raise ValueError(f"no rows to score: predictions and targets have shape {p.shape}")
     return p, y
 
 
 def dist_metrics(preds, targets) -> dict:
-    """JS / BC / R2 over a split; R2 is missing when all targets coincide.
+    """JS / BC / R2 over a split; R2 is missing when all targets coincide."""
+    return _dist_metrics(*_as_matrices(preds, targets))
 
-    JS and BC are row means over rows renormalized once more, which keeps
-    every report and log byte-identical.
-    """
-    p, y = _as_matrices(preds, targets)
+
+def _dist_metrics(p, y):
+    """`dist_metrics` of checked matrices. JS and BC are row means over rows
+    renormalized once more, which keeps every report and log byte-identical."""
     p_norm = p / p.sum(axis=1, keepdims=True)
     y_norm = y / y.sum(axis=1, keepdims=True)
     js = float(distlib.js_divergence_rows(p_norm, y_norm).mean())
@@ -84,8 +86,13 @@ def dist_metrics(preds, targets) -> dict:
     return {"JS": js, "BC": bc, "R2": r2, "R2_raw": r2_raw}
 
 
-def _cls_metrics(p, y):
-    """Macro-F1, support-weighted F1 and accuracy on argmax labels, from the confusion matrix's marginals.
+def all_metrics(preds, targets) -> dict:
+    """`dist_metrics`, then macro-F1, weighted F1 and accuracy on argmax labels, in `METRIC_ORDER`."""
+    return _all_metrics(*_as_matrices(preds, targets))
+
+
+def _all_metrics(p, y):
+    """`all_metrics` of checked matrices. The label metrics come from the confusion matrix's marginals.
 
     Classes absent from both targets and predictions contribute F1 = 0 to
     the macro average and zero weight to the weighted one.
@@ -98,14 +105,8 @@ def _cls_metrics(p, y):
     support = np.bincount(y_hat, minlength=n_classes)
     # 2 * tp + fp + fn is the row sum plus the column sum; where that is 0, tp and F1 are 0
     f1 = 2.0 * tp / np.maximum(support + np.bincount(p_hat, minlength=n_classes), 1)
-    return {"F1_macro": float(f1.mean()), "WF1": float((f1 * support).sum() / support.sum()),
-            "ACC": float(tp.sum() / len(y_hat))}
-
-
-def all_metrics(preds, targets) -> dict:
-    """`dist_metrics` and the argmax-label metrics of `_cls_metrics`, in `METRIC_ORDER`."""
-    p, y = _as_matrices(preds, targets)
-    return {**dist_metrics(p, y), **_cls_metrics(p, y)}
+    return {**_dist_metrics(p, y), "F1_macro": float(f1.mean()),
+            "WF1": float((f1 * support).sum() / support.sum()), "ACC": float(tp.sum() / len(y_hat))}
 
 
 def bin_edges(n_classes: int, n_bins: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def ambiguity_bins(preds, targets, n_bins: int) -> list:
         mask = membership == b
         count = int(mask.sum())
         row = {"bin": b, "lo": float(edges[b]), "hi": float(edges[b + 1]), "count": count}
-        row["metrics"] = all_metrics(p[mask], y[mask]) if count else None
+        row["metrics"] = _all_metrics(p[mask], y[mask]) if count else None
         rows.append(row)
     return rows
 

@@ -2,17 +2,20 @@
 
 Three heads produce class distributions: "a" and "t" consume their own
 embeddings, "at" consumes the gated fusion of both. Each head is a two-layer
-MLP (linear, ReLU, linear, softmax). One head is designated the student; the
-other two act as experts. A head is `head_hidden` then `head_output`, and
-`forward_all` and `predict` call both; `predict` runs the first in row blocks.
+MLP: one fused node (`ad.linear_relu`) that keeps only its activated output,
+then `head_output` (linear, softmax). One head is designated the student;
+the other two act as experts.
 
 A forward builds only the heads its caller reads: `forward_all` builds the
 `heads` it is given (all three by default, which the amber objective needs),
-and the fusion only for "at". The cbce objective and `predict` build the
-student alone, after the fusion if the student is "at". A head's first layer
-is one fused node (`ad.linear_relu`) that keeps only its activated output,
-and the whole fusion is one node (`ad.gated_fusion`) that keeps only its
-gate and output.
+and the fusion (one `ad.gated_fusion` node) only for "at". The cbce
+objective and `predict` build the student alone; `predict` runs the fusion
+and first layer in row blocks.
+
+`forward_all` and `predict` check their inputs once, on entry, before the
+fusion reads them: an input fault (shape, row count, a non-finite value) is
+a `ValueError`. A non-finite fused embedding (`fuse`) or head output
+(`head_output`) comes from the parameters: a `NumericalAbortError`.
 """
 
 from __future__ import annotations
@@ -103,20 +106,6 @@ def wrap_params(params: dict, requires_grad=True) -> dict:
     return {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.items()}
 
 
-def head_hidden(tensors: dict, modality: str, h: ad.Tensor) -> ad.Tensor:
-    """relu(h @ W1 + b1): the hidden layer of head `modality`, after checking its input."""
-    if modality not in MODALITIES:
-        raise ValueError(f"unknown modality {modality!r}")
-    w1 = tensors[f"{modality}.w1"]
-    if h.data.ndim != 2 or h.data.shape[1] != w1.data.shape[0]:
-        raise ValueError(
-            f"head {modality!r} expects input dim {w1.data.shape[0]}, got {h.data.shape}"
-        )
-    if not np.all(np.isfinite(h.data)):
-        raise ValueError(f"non-finite input to head {modality!r}")
-    return ad.linear_relu(h, w1, tensors[f"{modality}.b1"])
-
-
 def head_output(tensors: dict, modality: str, hid: ad.Tensor) -> ad.Tensor:
     """softmax(W2 @ hid + b2): the class distributions of head `modality` from its hidden layer.
     A non-finite row (parameters too large) raises `NumericalAbortError`."""
@@ -139,16 +128,33 @@ def fuse(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor) -> ad.Tensor:
     return h_at
 
 
+def _checked_inputs(cfg: ModelConfig, h_a: ad.Tensor, h_t: ad.Tensor, heads) -> dict:
+    """`{modality: tensor}` of the embeddings `heads` read: both if "at" is among
+    them, else each head's own. Each must be a finite (rows, width) matrix of its
+    head's input width, and the two of one row count; else `ValueError`."""
+    h = {m: x for m, x in (("a", h_a), ("t", h_t)) if m in heads or "at" in heads}
+    for m, x in h.items():
+        if x.data.ndim != 2 or x.data.shape[1] != cfg.head_input_dim(m):
+            raise ValueError(f"head {m!r} expects input dim {cfg.head_input_dim(m)}, got {x.data.shape}")
+    if len(h) == 2 and len(h_a.data) != len(h_t.data):
+        raise ValueError(f"batch sizes differ: {len(h_a.data)} vs {len(h_t.data)}")
+    for m, x in h.items():
+        if not np.all(np.isfinite(x.data)):
+            raise ValueError(f"non-finite input to head {m!r}")
+    return h
+
+
 def forward_all(tensors: dict, h_a: ad.Tensor, h_t: ad.Tensor, cfg: ModelConfig,
                 heads=MODALITIES) -> dict:
     """The distributions of `heads` (all three by default), keyed in `MODALITIES`
     order; `outputs[cfg.student]` is the student. The fusion runs only for "at"."""
     if not set(heads) <= set(MODALITIES):
         raise ValueError(f"heads must be among {MODALITIES}, got {heads!r}")
-    h = {"a": h_a, "t": h_t}
+    h = _checked_inputs(cfg, h_a, h_t, heads)
     if "at" in heads:
         h["at"] = fuse(tensors, h_a, h_t)
-    return {m: head_output(tensors, m, head_hidden(tensors, m, h[m])) for m in MODALITIES if m in heads}
+    return {m: head_output(tensors, m, ad.linear_relu(h[m], tensors[f"{m}.w1"], tensors[f"{m}.b1"]))
+            for m in MODALITIES if m in heads}
 
 
 def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) -> dict:
@@ -173,30 +179,21 @@ def predict(params: dict, cfg: ModelConfig, h_a: np.ndarray, h_t: np.ndarray) ->
     fusion width a split of more rows than one block can differ in the
     last bits from an unblocked pass.
 
-    Inputs that are not (rows, width) matrices of one row count run as one
-    block, so they fail with the messages an unblocked pass gives.
-    Parameters that overflow the pass to a non-finite value raise
-    `NumericalAbortError`.
+    Inputs are checked as `forward_all` checks them. Parameters that
+    overflow the pass to a non-finite value raise `NumericalAbortError`.
     """
     tensors = wrap_params(params, requires_grad=False)
-    inputs = {"a": np.asarray(h_a, dtype=np.float64), "t": np.asarray(h_t, dtype=np.float64)}
-    read = ("a", "t") if cfg.student == "at" else (cfg.student,)
-
-    def hidden(rows):
-        h = {m: ad.constant(inputs[m][rows]) for m in read}
-        if cfg.student == "at":
-            h["at"] = fuse(tensors, h["a"], h["t"])
-        return head_hidden(tensors, cfg.student, h[cfg.student]).data
-
-    n = len(inputs[read[0]]) if inputs[read[0]].ndim else 0
+    student = cfg.student
+    inputs = _checked_inputs(cfg, ad.constant(h_a), ad.constant(h_t), (student,))
+    n = len(next(iter(inputs.values())).data)
+    hid = np.empty((n, cfg.hidden))
     with np.errstate(**QUIET_OVERFLOW):
-        if all(inputs[m].shape == (n, cfg.head_input_dim(m)) for m in read):
-            hid = np.empty((n, cfg.hidden))
-            for block in _row_blocks(n):
-                hid[block] = hidden(block)
-        else:
-            hid = hidden(...)  # every row at once, so a malformed input fails as an unblocked pass does
-        return {cfg.student: head_output(tensors, cfg.student, ad.constant(hid)).data}
+        for rows in _row_blocks(n):
+            h = {m: ad.constant(x.data[rows]) for m, x in inputs.items()}
+            if student == "at":
+                h["at"] = fuse(tensors, h["a"], h["t"])
+            hid[rows] = ad.linear_relu(h[student], tensors[f"{student}.w1"], tensors[f"{student}.b1"]).data
+        return {student: head_output(tensors, student, ad.constant(hid)).data}
 
 
 def _row_blocks(n):

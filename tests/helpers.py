@@ -389,7 +389,7 @@ def oracle_generate_synthetic(cfg: SynthConfig) -> Dataset:
 
 
 def oracle_cls_metrics(p, y):
-    """`evalreport._cls_metrics` as it was before its confusion matrix: three
+    """The label metrics of `evalreport.all_metrics` as they were before its confusion matrix: three
     boolean masks per class, then macro-F1, support-weighted F1 and accuracy."""
     n_classes = y.shape[1]
     p_hat = np.argmax(p, axis=1)

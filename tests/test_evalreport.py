@@ -85,6 +85,8 @@ def test_dist_metrics_length_mismatch():
     for preds in (np.ones((3, 3)) / 3, [[1.2, -0.2, 0.0], [0.5, 0.5, 0.0]], [[0.5, 0.6, 0.0], [0.5, 0.5, 0.0]]):
         with pytest.raises(ValueError):
             dist_metrics(preds, ok)
+    with pytest.raises(ValueError, match=r"^no rows to score: predictions and targets have shape \(0, 3\)$"):
+        all_metrics(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def test_dist_metrics_equal_mean_of_per_sample_divergences():

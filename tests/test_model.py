@@ -17,8 +17,6 @@ from amber.model import (
     ModelConfig,
     forward_all,
     fuse,
-    head_hidden,
-    head_output,
     init_params,
     load_checkpoint,
     param_shapes,
@@ -39,19 +37,21 @@ def _np_softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _head_a(params, cfg, h_a):
+    """The rows of head "a" alone, through `forward_all`."""
+    h_t = ad.constant(np.zeros((len(h_a), cfg.dim_t)))
+    return forward_all(wrap_params(params, requires_grad=False), ad.constant(h_a), h_t, cfg, ("a",))["a"]
+
+
 def test_zero_weights_give_uniform_rows():
     cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=5, hidden=6, fusion_dim=4)
-    tensors = wrap_params(_zeros_params(cfg), requires_grad=False)
-    h = ad.constant(np.random.default_rng(0).standard_normal((4, 3)))
-    out = head_output(tensors, "a", head_hidden(tensors, "a", h))
+    out = _head_a(_zeros_params(cfg), cfg, np.random.default_rng(0).standard_normal((4, 3)))
     assert np.allclose(out.data, 0.2)
 
 
 def test_head_rows_sum_to_one():
     cfg = ModelConfig(dim_a=3, dim_t=3, n_classes=4, hidden=5, fusion_dim=3)
-    tensors = wrap_params(init_params(cfg, 1), requires_grad=False)
-    h = ad.constant(np.random.default_rng(2).standard_normal((1, 3)) * 10)
-    out = head_output(tensors, "a", head_hidden(tensors, "a", h))
+    out = _head_a(init_params(cfg, 1), cfg, np.random.default_rng(2).standard_normal((1, 3)) * 10)
     assert abs(out.data.sum() - 1.0) <= 1e-9
 
 
@@ -67,8 +67,7 @@ def test_head_matches_hand_evaluated_two_layer_formula():
     hidden = np.maximum(h @ params["a.w1"] + params["a.b1"], 0.0)
     expected = _np_softmax(hidden @ params["a.w2"] + params["a.b2"])
 
-    tensors = wrap_params(params, requires_grad=False)
-    out = head_output(tensors, "a", head_hidden(tensors, "a", ad.constant(h)))
+    out = _head_a(params, cfg, h)
     assert np.max(np.abs(out.data - expected)) <= 1e-9
 
 
@@ -156,10 +155,11 @@ def test_all_heads_emit_valid_distributions_over_random_params():
 def test_dimension_and_input_validation():
     cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
     tensors = wrap_params(init_params(cfg, 0), requires_grad=False)
-    with pytest.raises(ValueError):
-        head_hidden(tensors, "a", ad.constant(np.zeros((2, 5))))
-    with pytest.raises(ValueError):
-        head_hidden(tensors, "a", ad.constant(np.full((2, 3), np.nan)))
+    h_t = ad.constant(np.zeros((2, 4)))
+    with pytest.raises(ValueError, match=r"head 'a' expects input dim 3, got \(2, 5\)"):
+        forward_all(tensors, ad.constant(np.zeros((2, 5))), h_t, cfg)
+    with pytest.raises(ValueError, match="non-finite input to head 'a'"):
+        forward_all(tensors, ad.constant(np.full((2, 3), np.nan)), h_t, cfg)
     with pytest.raises(ValueError):
         fuse(tensors, ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((3, 4))))
     with pytest.raises(ValueError):
@@ -425,17 +425,26 @@ def test_blocked_predict_is_byte_equal_to_forward_all_at_every_block_edge(studen
 
 
 def test_predict_names_a_malformed_input_by_its_whole_shape():
+    # The inputs are checked before the fusion reads them, so for student "at"
+    # too a fault is the input's ValueError, not the fusion's abort or a shape
+    # mismatch inside it. `forward_all` with every head reads both inputs.
     cfg = ModelConfig(dim_a=3, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
     params = init_params(cfg, 0)
+    tensors = wrap_params(params, requires_grad=False)
     cases = [
         ("a", np.zeros((600, 5)), np.zeros((600, 4)), "head 'a' expects input dim 3, got (600, 5)"),
         ("a", np.zeros(600), np.zeros((600, 4)), "head 'a' expects input dim 3, got (600,)"),
         ("at", np.zeros((600, 3)), np.zeros((599, 4)), "batch sizes differ: 600 vs 599"),
         ("t", np.zeros((600, 3)), np.full((600, 4), np.nan), "non-finite input to head 't'"),
+        ("at", np.full((600, 3), np.nan), np.zeros((600, 4)), "non-finite input to head 'a'"),
+        ("at", np.zeros((600, 5)), np.zeros((600, 4)), "head 'a' expects input dim 3, got (600, 5)"),
     ]
     for student, h_a, h_t, message in cases:
         with pytest.raises(ValueError) as err:
             predict(params, ModelConfig(**{**asdict(cfg), "student": student}), h_a, h_t)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            forward_all(tensors, ad.constant(h_a), ad.constant(h_t), cfg)
         assert str(err.value) == message
 
 
