@@ -337,10 +337,13 @@ def soft_ce_node(s: Tensor, targets: np.ndarray, class_weights: np.ndarray) -> T
     """Scalar class-weighted soft cross-entropy, natural log clamped at 1e-12.
 
     value = mean_i ( -sum_c w_c * y_ic * ln max(s_ic, 1e-12) ); gradient
-    flows into the predictions only, targets and weights are plain arrays.
+    flows into the predictions only, targets and weights are plain arrays,
+    converted and checked here once (a negative class weight is rejected).
     """
     targets = np.asarray(targets, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
+    if np.any(class_weights < 0):
+        raise ValueError("class weights must be non-negative")
     if s.data.shape != targets.shape or class_weights.shape != (s.data.shape[1],):
         raise ValueError(
             f"soft_ce_node shape mismatch: preds {s.data.shape}, targets {targets.shape}, "

@@ -298,11 +298,10 @@ def cmd_eval(ns, parser):
     if ns.split == "all":
         subset = ds
     else:
-        if "fold" not in provenance:
+        if not {"fold", "folds"} <= provenance.keys():
             raise DataValidationError("no fold provenance; use --split all", path=ns.checkpoint)
-        try:  # the run's own partition; a checkpoint without `folds` keeps the dataset's
-            ds = ds.with_fold_count(provenance.get("folds", ds.fold_count))
-            train, val, test = fold_split(ds, provenance["fold"])
+        try:  # the run's own partition
+            train, val, test = fold_split(ds.with_fold_count(provenance["folds"]), provenance["fold"])
         except ValueError as exc:
             raise DataValidationError(str(exc), path=ns.data) from None
         subset = {"train": train, "val": val, "test": test}[ns.split]
@@ -381,17 +380,9 @@ def cmd_compare(ns, parser):
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
+    handlers = {"gen": cmd_gen, "train": cmd_train, "eval": cmd_eval, "compare": cmd_compare}
+    try:  # parsing and the handler alike exit through SystemExit: --help 0, a usage error 1
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    handlers = {
-        "gen": cmd_gen,
-        "train": cmd_train,
-        "eval": cmd_eval,
-        "compare": cmd_compare,
-    }
-    try:
         return handlers[ns.command](ns, parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -271,11 +271,11 @@ def load_report(path):
         if not (isinstance(runs, list) and isinstance(summary["bins"], list)):
             raise ValueError("'reports' and the aggregate's 'bins' must be lists")
         for run in runs:
-            check_keys(run, ("system", "fold", "seed", "metrics"), ("bins", "provenance"), "run keys")
+            check_keys(run, ("system", "fold", "seed", "metrics", "bins", "provenance"), (), "run keys")
             if not isinstance(run["system"], str):
                 raise ValueError("a run needs a string 'system'")
         for row in summary["bins"]:
-            check_keys(row, ("lo", "hi", "metrics"), ("bin", "count"), "bin row keys")
+            check_keys(row, ("bin", "count", "lo", "hi", "metrics"), (), "bin row keys")
             if not (_is_number(row["lo"]) and _is_number(row["hi"])):
                 raise ValueError("a bin row needs number 'lo' and 'hi'")
         for metrics in [summary["metrics"]] + [row["metrics"] for row in summary["bins"]]:

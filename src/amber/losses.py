@@ -4,8 +4,10 @@ The dual-ambiguity objective combines two terms. The rater term pulls the
 student distribution toward the annotator soft labels with base-2 JS
 divergence. The modality term is a reliability-weighted JS consistency loss
 between the student and the expert heads, where an expert's weight grows as
-its own divergence from the soft labels shrinks. One JS node per head against
-the labels gives the rater term, those divergences and the expert supervision.
+its own divergence from the soft labels shrinks. `amber_loss` builds the whole
+objective in one pass: one JS node per head against the labels gives the rater
+term, those divergences and the expert supervision. `cbce_loss` is the
+baseline's objective, a `soft_ce_node`, which checks its inputs.
 
 Gradient-flow policy: the reliability weights u_m are computed from detached
 forward values and never carry gradient. In the default "detached" mode the
@@ -64,22 +66,6 @@ def expert_weights(d: dict, kappa: float) -> dict:
     return {m: float(w[i]) for i, m in enumerate(names)}
 
 
-def mai_loss(s: ad.Tensor, experts: dict, d: dict, cfg: LossConfig):
-    """Reliability-weighted consistency between the student and each expert.
-
-    `d` holds each expert's batch-mean JS from the soft labels, a detached
-    value. Returns (scalar node, weights u); the loss is
-    sum_m u_m * mean JS(s || p_m).
-    """
-    detach = cfg.mai_expert_grad == "detached"
-    u = expert_weights(d, cfg.kappa)
-    node = None
-    for m, p in experts.items():
-        term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.constant(p.data) if detach else p))
-        node = term if node is None else ad.add(node, term)
-    return node, u
-
-
 def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     """Full dual-ambiguity objective for one batch: (loss node, train-log fields).
 
@@ -87,7 +73,8 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     of each expert toward the labels when expert_supervision = "rai" (the
     expert divergences are only informative if something trains the experts).
     Each head gets one `ad.js_loss_node` against the constant labels: the
-    student's is rai, an expert's gives its divergence and its pull.
+    student's is rai, an expert's gives its divergence d_m and its pull. The
+    consistency term is mai = sum_m u_m * mean JS(s || p_m), u = expert_weights(d, kappa).
     A zero lambda_mai leaves the consistency term out of the total (its value
     is still logged), so the gradients reduce exactly to the rater term.
     The fields are the forward values `rai`, `mai`, `total`, each expert's `u_<m>`
@@ -103,26 +90,27 @@ def amber_loss(y: np.ndarray, outputs: dict, cfg: LossConfig, student: str):
     total = ad.scalar_mul(cfg.lambda_rai, rai[student])
 
     d = {m: float(rai[m].data) for m in experts}
-    mai_node, u = mai_loss(s, experts, d, cfg)
+    u = expert_weights(d, cfg.kappa)
+    detach = cfg.mai_expert_grad == "detached"
+    mai = None
+    for m, p in experts.items():
+        term = ad.scalar_mul(u[m], ad.js_loss_node(s, ad.constant(p.data) if detach else p))
+        mai = term if mai is None else ad.add(mai, term)
     if cfg.lambda_mai > 0:
-        total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai_node))
+        total = ad.add(total, ad.scalar_mul(cfg.lambda_mai, mai))
+    supervised = experts if cfg.expert_supervision == "rai" else ()
+    for m in supervised:
+        total = ad.add(total, rai[m])
 
-    fields = {"rai": float(rai[student].data), "mai": float(mai_node.data), "total": None,
-              **{f"u_{m}": w for m, w in u.items()}, **{f"d_{m}": v for m, v in d.items()}}
-    if cfg.expert_supervision == "rai":
-        for m in experts:
-            total = ad.add(total, rai[m])
-            fields[f"expert_rai_{m}"] = d[m]
-    fields["total"] = float(total.data)  # the key keeps its third place
+    fields = {"rai": float(rai[student].data), "mai": float(mai.data), "total": float(total.data),
+              **{f"u_{m}": w for m, w in u.items()}, **{f"d_{m}": v for m, v in d.items()},
+              **{f"expert_rai_{m}": d[m] for m in supervised}}
     return total, fields
 
 
 def cbce_loss(y: np.ndarray, s: ad.Tensor, class_weights: np.ndarray) -> ad.Tensor:
     """Class-balanced soft cross-entropy of the student against soft labels."""
-    class_weights = np.asarray(class_weights, dtype=np.float64)
-    if np.any(class_weights < 0):
-        raise ValueError("class weights must be non-negative")
-    return ad.soft_ce_node(s, np.asarray(y, dtype=np.float64), class_weights)
+    return ad.soft_ce_node(s, y, class_weights)
 
 
 def class_weights_from(y) -> np.ndarray:

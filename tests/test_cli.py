@@ -322,6 +322,26 @@ def test_eval_splits_with_the_fold_count_the_run_trained_with(dataset, tmp_path,
         assert not out_dir.exists()
 
 
+def test_eval_of_a_split_needs_the_run_fold_count(dataset, tmp_path, capsys):
+    # without `folds` the header's 4 folds would test on 10 rows, not the run's 8
+    run = tmp_path / "run"
+    assert main(_train_args(dataset, run, **{"--folds": 5})) == 0
+    blob = json.loads((run / "checkpoints" / "ckpt-f0-s0.json").read_text())
+    del blob["provenance"]["folds"]
+    ckpt = tmp_path / "no-folds.json"
+    ckpt.write_text(json.dumps(blob))
+    capsys.readouterr()
+    for split in ("train", "val", "test"):
+        out_dir = tmp_path / f"ev-{split}"
+        assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", split,
+                     "--out-dir", str(out_dir)]) == 2, split
+        err = capsys.readouterr().err
+        assert err == f"amber: data validation error: {ckpt}: no fold provenance; use --split all\n", err
+        assert not out_dir.exists()
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--split", "all",
+                 "--out-dir", str(tmp_path / "ev-all")]) == 0
+
+
 def test_eval_rejects_checkpoint_that_does_not_fit_with_exit_2(dataset, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(_train_args(dataset, run)) == 0
@@ -690,7 +710,7 @@ def _overflowing_checkpoint(path):
     """A checkpoint for `dataset` whose parameters overflow the forward pass."""
     cfg = ModelConfig(dim_a=4, dim_t=4, n_classes=3, hidden=4, fusion_dim=4)
     params = {name: np.full_like(value, 1e307) for name, value in init_params(cfg, 0).items()}
-    save_checkpoint(path, cfg, params, {"system": "amber", "fold": 0, "seed": 0})
+    save_checkpoint(path, cfg, params, {"system": "amber", "fold": 0, "seed": 0, "folds": 4})
     return path
 
 
@@ -759,7 +779,7 @@ def test_malformed_config_file_exits_2(dataset, tmp_path, capsys):
     assert "data validation error" in err and "bad.json" in err
 
 
-def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
+def test_compare_rejects_non_report_json_with_exit_2(tmp_path, capsys):
     good = tmp_path / "good.json"
     _write_report(good, {"JS": 0.2})
     malformed_aggregates = (
@@ -797,6 +817,23 @@ def test_compare_and_bins_reject_non_report_json_with_exit_2(tmp_path, capsys):
     for named, edit in unknown_names.items():
         blob = json.loads(_REPORT_TEXT)
         edit(blob["aggregate"])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(blob))
+        assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, named
+        assert main(["compare", "--baseline", str(good), "--candidate", str(bad)]) == 2, named
+        assert capsys.readouterr().err.count(named) == 2, named
+
+
+def test_compare_rejects_a_report_without_a_key_emit_report_writes(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(_REPORT_TEXT)
+    cases = {"missing run keys: ['bins']": lambda blob: blob["reports"][0].pop("bins"),
+             "missing run keys: ['provenance']": lambda blob: blob["reports"][1].pop("provenance"),
+             "missing bin row keys: ['bin']": lambda blob: blob["aggregate"]["bins"][0].pop("bin"),
+             "missing bin row keys: ['count']": lambda blob: blob["aggregate"]["bins"][2].pop("count")}
+    for named, edit in cases.items():
+        blob = json.loads(_REPORT_TEXT)
+        edit(blob)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(blob))
         assert main(["compare", "--baseline", str(bad), "--candidate", str(good)]) == 2, named
@@ -866,7 +903,7 @@ def _metric_cells_are_exact(text):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_any_mutant_report_compares_and_bins_or_exits_2_with_a_named_error(tmp_path_factory, data):
+def test_any_mutant_report_compares_or_exits_2_with_a_named_error(tmp_path_factory, data):
     folder = tmp_path_factory.mktemp("report")
     good, bad, out = folder / "good.json", folder / "bad.json", folder / "out.csv"
     good.write_text(_REPORT_TEXT, encoding="utf-8")

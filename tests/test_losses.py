@@ -12,7 +12,6 @@ from amber.losses import (
     cbce_loss,
     class_weights_from,
     expert_weights,
-    mai_loss,
 )
 from amber.model import ModelConfig, forward_all, init_params, wrap_params
 
@@ -34,11 +33,6 @@ def _micro_outputs(seed=0, batch=4, n_classes=3):
     outputs = forward_all(tensors, h_a, h_t, cfg)
     y = rng.dirichlet(np.ones(n_classes), size=batch)
     return cfg, tensors, outputs, y
-
-
-def _divergences(y, experts):
-    """Each expert's batch-mean JS from the labels, as `amber_loss` hands it to `mai_loss`."""
-    return {m: float(ad.js_loss_node(ad.constant(y), p).data) for m, p in experts.items()}
 
 
 def test_rai_zero_when_student_matches_labels():
@@ -100,33 +94,34 @@ def test_expert_weight_properties_bulk():
                         assert u[a] > u[b]
 
 
+# the consistency term alone: no rater term, no expert supervision
+MAI_ONLY = {"lambda_rai": 0.0, "expert_supervision": "none"}
+
+
 def test_mai_zero_when_all_heads_agree():
     rows = np.asarray([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3]])
-    s = ad.Tensor(rows.copy(), requires_grad=True)
-    experts = {"a": ad.constant(rows.copy()), "t": ad.constant(rows.copy())}
+    outputs = {"at": ad.Tensor(rows.copy(), requires_grad=True),
+               "a": ad.constant(rows.copy()), "t": ad.constant(rows.copy())}
     y = np.asarray([[0.4, 0.3, 0.3], [0.1, 0.8, 0.1]])
-    node, u = mai_loss(s, experts, _divergences(y, experts), LossConfig())
-    assert float(node.data) == 0.0
-    assert abs(sum(u.values()) - 1.0) <= 1e-12
+    node, fields = amber_loss(y, outputs, LossConfig(**MAI_ONLY), "at")
+    assert fields["mai"] == 0.0 and float(node.data) == 0.0
+    assert abs(fields["u_a"] + fields["u_t"] - 1.0) <= 1e-12
 
 
 def test_mai_saturates_to_best_expert_at_large_kappa():
     rng = np.random.default_rng(3)
     y = rng.dirichlet(np.ones(3), size=4)
     s = ad.Tensor(rng.dirichlet(np.ones(3), size=4), requires_grad=True)
-    perfect = ad.constant(y.copy())
-    other = ad.constant(rng.dirichlet(np.ones(3), size=4))
-    experts = {"a": perfect, "t": other}
-    node, u = mai_loss(s, experts, _divergences(y, experts), LossConfig(kappa=50.0))
-    assert u["a"] > 0.999
+    outputs = {"at": s, "a": ad.constant(y.copy()), "t": ad.constant(rng.dirichlet(np.ones(3), size=4))}
+    _, fields = amber_loss(y, outputs, LossConfig(kappa=50.0, **MAI_ONLY), "at")
+    assert fields["u_a"] > 0.999
     direct = ad.js_loss_node(s, ad.constant(y.copy()))
-    assert abs(float(node.data) - float(direct.data)) < 1e-3
+    assert abs(fields["mai"] - float(direct.data)) < 1e-3
 
 
 def test_mai_detached_blocks_expert_gradient():
     cfg, tensors, outputs, y = _micro_outputs(seed=5)
-    experts = {"a": outputs["a"], "t": outputs["t"]}
-    node, _ = mai_loss(outputs["at"], experts, _divergences(y, experts), LossConfig())
+    node, _ = amber_loss(y, outputs, LossConfig(**MAI_ONLY), "at")
     ad.backward(node)
     for name in ("a.w1", "a.b1", "a.w2", "a.b2", "t.w1", "t.w2"):
         assert tensors[name].grad is None
@@ -135,8 +130,7 @@ def test_mai_detached_blocks_expert_gradient():
 
 def test_mai_coupled_lets_gradient_reach_experts():
     cfg, tensors, outputs, y = _micro_outputs(seed=6)
-    experts = {"a": outputs["a"], "t": outputs["t"]}
-    node, _ = mai_loss(outputs["at"], experts, _divergences(y, experts), LossConfig(mai_expert_grad="coupled"))
+    node, _ = amber_loss(y, outputs, LossConfig(mai_expert_grad="coupled", **MAI_ONLY), "at")
     ad.backward(node)
     assert np.any(tensors["a.w2"].grad != 0)
 
@@ -266,6 +260,15 @@ def test_cbce_unit_weights_equal_unweighted_soft_ce():
     got = float(cbce_loss(y, ad.constant(s_rows), np.ones(4)).data)
     plain = float(np.mean(-(y * np.log(s_rows)).sum(axis=1)))
     assert abs(got - plain) <= 1e-12
+
+
+def test_negative_class_weight_is_rejected():
+    y = np.full((2, 3), 1 / 3)
+    s = ad.Tensor(y.copy(), requires_grad=True)
+    w = np.asarray([1.0, -0.5, 1.0])
+    for objective in (lambda: cbce_loss(y, s, w), lambda: ad.soft_ce_node(s, y, w)):
+        with pytest.raises(ValueError, match="class weights must be non-negative"):
+            objective()
 
 
 def test_class_weights_balanced_and_capped():
