@@ -308,16 +308,9 @@ def cmd_eval(ns, parser):
     if not 2 <= ns.bins <= len(subset):
         parser.error(f"--bins must lie in [2, {len(subset)}], the rows of the {ns.split} split")
 
-    h_a, h_t, y = subset.matrices()
-    preds = model.predict(params, model_cfg, h_a, h_t)[model_cfg.student]
-    report = evalreport.EvalReport(
-        system=provenance.get("system", "checkpoint"),
-        fold=provenance.get("fold", "all"),
-        seed=provenance.get("seed", "all"),
-        metrics=evalreport.all_metrics(preds, y),
-        bins=evalreport.ambiguity_bins(preds, y, ns.bins),
-        provenance={**provenance, "split": ns.split},
-    )
+    report = trainer.evaluate(params, model_cfg, subset, ns.bins, system=provenance.get("system", "checkpoint"),
+                              fold=provenance.get("fold", "all"), seed=provenance.get("seed", "all"),
+                              provenance={**provenance, "split": ns.split})
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     print(evalreport.emit_report([report], out_dir / "eval-report"))
@@ -327,14 +320,15 @@ def cmd_eval(ns, parser):
 def _compare_row(scope, name, base, cand):
     """(bin, metric, baseline, candidate, delta, improvement) of one metric's means; None where a side has none.
 
-    The improvement is the change over |baseline|, signed so that a positive
-    value is better (also over a negative baseline); None for a baseline of 0.
+    The improvement is the change over |baseline|, signed so that a positive value is better (also over a
+    negative baseline); None where that quotient is not finite, as for a baseline of 0 or near 0.
     """
     b, c = (cells[name]["mean"] if name in cells else None for cells in (base, cand))
     if b is None or c is None:
         return scope, name, b, c, None, None
     gain = b - c if name in evalreport.LOWER_IS_BETTER else c - b
-    return scope, name, b, c, c - b, gain / abs(b) if b else None
+    rel = gain / abs(b) if b else math.inf
+    return scope, name, b, c, c - b, rel if math.isfinite(rel) else None
 
 
 def cmd_compare(ns, parser):

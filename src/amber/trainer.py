@@ -4,7 +4,7 @@ Every run is a pure function of (dataset, fold, seed, config): one seeded
 generator drives parameter init and the per-epoch shuffles, batches keep a
 fixed order and the last incomplete batch is trained. Model selection keeps
 the parameters of the epoch with the lowest validation JS (ties go to the
-earliest epoch); those parameters produce the final test evaluation.
+earliest epoch); `evaluate` scores them on test, as it scores `amber eval`'s split.
 
 Runs are independent, so cross_validate can farm them out to worker
 processes; records reach the sink in (fold, seed) order either way,
@@ -168,13 +168,11 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
     params = init_params(cfg.model, rng)
     state = init_opt_state(params)
     train, val, test = fold_split(ds, fold)
-    student = cfg.model.student
 
     class_weights = class_weights_from(train.y) if cfg.objective == "cbce" else None
 
     ha_tr, ht_tr, y_tr = train.matrices()
     ha_val, ht_val, y_val = val.matrices()
-    ha_te, ht_te, y_te = test.matrices()
 
     epochs_log = []
     best_js = np.inf
@@ -201,7 +199,7 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
             for key in batch_fields[0]
         }
         try:
-            val_out = predict(params, cfg.model, ha_val, ht_val)[student]
+            val_out = predict(params, cfg.model, ha_val, ht_val)[cfg.model.student]
         except NumericalAbortError as exc:
             raise NumericalAbortError(f"validation: {exc}", epoch=epoch) from None
         val_metrics = evalreport.dist_metrics(val_out, y_val)
@@ -213,16 +211,18 @@ def train_one(ds: Dataset, fold: int, seed: int, cfg: TrainConfig) -> RunRecord:
             best_epoch = epoch
             best_params = dict(params)  # opt_step replaces these arrays, never writes them
 
-    test_preds = predict(best_params, cfg.model, ha_te, ht_te)[student]
-    report = evalreport.EvalReport(
-        system=cfg.objective,
-        fold=fold,
-        seed=seed,
-        metrics=evalreport.all_metrics(test_preds, y_te),
-        bins=evalreport.ambiguity_bins(test_preds, y_te, cfg.n_bins),
-        provenance={"selected_epoch": best_epoch},
-    )
+    report = evaluate(best_params, cfg.model, test, cfg.n_bins, system=cfg.objective, fold=fold, seed=seed,
+                      provenance={"selected_epoch": best_epoch})
     return RunRecord(epochs=epochs_log, report=report, selected_params=best_params)
+
+
+def evaluate(params: dict, model_cfg: ModelConfig, split: Dataset, n_bins: int, **labels) -> "evalreport.EvalReport":
+    """`split`'s report: the student's metrics and `n_bins` ambiguity bins, under `labels` as given
+    (system, fold, seed, provenance)."""
+    h_a, h_t, y = split.matrices()
+    preds = predict(params, model_cfg, h_a, h_t)[model_cfg.student]
+    return evalreport.EvalReport(metrics=evalreport.all_metrics(preds, y),
+                                 bins=evalreport.ambiguity_bins(preds, y, n_bins), **labels)
 
 
 def cross_validate(ds: Dataset, cfg: TrainConfig, sink, jobs: int = 1) -> None:

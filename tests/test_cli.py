@@ -297,16 +297,18 @@ def test_eval_emits_binned_report(dataset, tmp_path):
     assert csv_text.startswith("system,fold,seed,bin,metric,value,mean,std")
 
 
-def test_eval_splits_with_the_fold_count_the_run_trained_with(dataset, tmp_path, capsys):
+@pytest.mark.parametrize("flags", [{}, {"--objective": "cbce", "--student": "a"}], ids=["amber", "cbce-student-a"])
+def test_eval_splits_with_the_fold_count_the_run_trained_with(dataset, tmp_path, capsys, flags):
     # 40 rows under a 4-fold header: --folds 5 tests each run on 8 rows, the header's folds hold 10
     run = tmp_path / "run"
-    assert main(_train_args(dataset, run, **{"--folds": 5})) == 0
+    assert main(_train_args(dataset, run, **{"--folds": 5}, **flags)) == 0
     trained = json.loads((run / "report.json").read_text())["reports"][0]
     ckpt = run / "checkpoints" / "ckpt-f0-s0.json"
-    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--out-dir", str(tmp_path / "ev")]) == 0
+    assert main(["eval", "--checkpoint", str(ckpt), "--data", str(dataset), "--bins", "3",
+                 "--out-dir", str(tmp_path / "ev")]) == 0
     evaluated = json.loads((tmp_path / "ev" / "eval-report.json").read_text())["reports"][0]
     assert (evaluated["fold"], evaluated["seed"]) == (trained["fold"], trained["seed"]) == (0, 0)
-    assert evaluated["metrics"] == trained["metrics"]
+    assert (evaluated["metrics"], evaluated["bins"]) == (trained["metrics"], trained["bins"])
     assert sum(row["count"] for row in evaluated["bins"]) == 8
     assert json.loads(ckpt.read_text())["provenance"]["folds"] == 5
     capsys.readouterr()
@@ -434,17 +436,20 @@ def test_compare_identical_reports_zero_deltas(tmp_path, capsys):
 
 def test_compare_relative_improvement_matches_reported_numbers(tmp_path, capsys):
     base, cand = tmp_path / "base.json", tmp_path / "cand.json"
-    # R2_raw can be negative: a better candidate over a negative baseline still improves by a positive share
-    _write_report(base, {"JS": 0.216, "R2_raw": -0.0886})
-    _write_report(cand, {"JS": 0.193, "R2_raw": 0.0043})
+    # R2_raw can be negative: a better candidate over a negative baseline still improves by a positive share;
+    # over a subnormal BC baseline the share leaves the float range, so it has none, as over a baseline of 0
+    _write_report(base, {"JS": 0.216, "BC": 1e-310, "R2_raw": -0.0886})
+    _write_report(cand, {"JS": 0.193, "BC": 1.0, "R2_raw": 0.0043})
     out_csv = tmp_path / "cmp.csv"
     assert main(["compare", "--baseline", str(base), "--candidate", str(cand),
                  "--out", str(out_csv)]) == 0
     out = capsys.readouterr().out
     assert "| all | JS | 0.2160 | 0.1930 | -0.0230 | +10.6% |" in out
+    assert "| all | BC | 0.0000 | 1.0000 | +1.0000 | - |" in out
     assert "| all | R2_raw | -0.0886 | 0.0043 | +0.0929 | +104.9% |" in out
-    js, r2_raw = (row.split(",") for row in out_csv.read_text().splitlines()[1:])
+    js, bc, r2_raw = (row.split(",") for row in out_csv.read_text().splitlines()[1:])
     assert abs(float(js[5]) - (0.216 - 0.193) / 0.216) < 1e-12
+    assert bc[1:] == ["BC", "1e-310", "1.0", "1.0", ""]
     assert abs(float(r2_raw[5]) - (0.0043 + 0.0886) / 0.0886) < 1e-12
 
 

@@ -79,3 +79,9 @@ def unused(src_trees, bench_trees):
 @pytest.mark.skipif(not BENCH.is_dir(), reason="needs the benchmark sources")
 def test_every_function_class_method_and_property_in_src_has_a_user():
     assert unused(_trees(SRC), _trees(BENCH)) == []
+
+
+def test_src_without_the_benchmark_leaves_only_the_bench_only_code_unused():
+    # these live only because `bench/` times or counts them; any other name here has lost its last caller in src
+    assert sorted(unused(_trees(SRC), {})) == ["autodiff.matmul", "autodiff.relu", "autodiff.sigmoid",
+                                               "distlib.SoftLabel"]
