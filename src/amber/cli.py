@@ -34,12 +34,6 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_WORKER = 4
 
-MAX_SEEDS = 10_000  # every seed is one run per fold; train builds the seed tuple up front
-# Parameters of one run, counted over model.param_shapes. Each takes 8 bytes in
-# the parameters, the gradients and both AdamW moments (3.2 GB at the bound); a
-# model numpy cannot allocate would otherwise fail mid-run, after the manifest.
-MAX_PARAMS = 100_000_000
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse parser whose usage failures exit with code 1."""
@@ -66,7 +60,7 @@ GEN_OPTIONS = {
 }
 
 # key -> (config class, field, type, choices, help); the flag is the key with "-" for "_", the
-# default is the field's dataclass default (seeds, folds and jobs set no field). Rows are in manifest order.
+# default is the field's dataclass default (folds and jobs set no field). Rows are in manifest order.
 TRAIN_OPTIONS = {
     "objective": (TrainConfig, "objective", str, trainer.OBJECTIVES, None),
     "student": (ModelConfig, "student", str, model.MODALITIES, None),
@@ -81,13 +75,13 @@ TRAIN_OPTIONS = {
     "weight_decay": (TrainConfig, "weight_decay", float, None, None),
     "batch": (TrainConfig, "batch", int, None, None),
     "epochs": (TrainConfig, "epochs", int, None, None),
-    "seeds": (None, None, int, None, "number of seeds (0..N-1)"),
+    "seeds": (TrainConfig, "seeds", int, None, "number of seeds (0..N-1)"),
     "folds": (None, None, int, None, "re-partition into this many folds"),
     "bins": (TrainConfig, "n_bins", int, None, "entropy bins in reports"),
     "jobs": (None, None, int, None, "parallel (fold, seed) workers"),
 }
 TRAIN_DEFAULTS = {key: getattr(cls, name) for key, (cls, name, *_) in TRAIN_OPTIONS.items() if cls}
-TRAIN_DEFAULTS.update(seeds=len(TrainConfig.seeds), folds=None, jobs=1)
+TRAIN_DEFAULTS.update(folds=None, jobs=1)
 
 
 def build_parser() -> _Parser:
@@ -178,12 +172,8 @@ def _resolve_train_config(ns, parser):
     values = {**TRAIN_DEFAULTS, **file_cfg, **flags}
     resolved = {key: None if key == "folds" and values[key] is None else _typed(key, values[key], typ, parser)
                 for key, (_, _, typ, _, _) in TRAIN_OPTIONS.items()}
-    if not 1 <= resolved["seeds"] <= MAX_SEEDS:
-        parser.error(f"--seeds must lie in [1, {MAX_SEEDS}]")
     if resolved["jobs"] < 1:
         parser.error("--jobs must be >= 1")
-    if resolved["bins"] < 2:
-        parser.error("--bins must be >= 2")
     return resolved
 
 
@@ -191,19 +181,13 @@ def _train_config(resolved, ds, parser) -> TrainConfig:
     kwargs = {cls: {name: resolved[key] for key, (owner, name, *_) in TRAIN_OPTIONS.items() if owner is cls}
               for cls in (TrainConfig, ModelConfig, LossConfig)}
     try:
-        cfg = TrainConfig(
+        return TrainConfig(
             model=ModelConfig(dim_a=ds.dim_a, dim_t=ds.dim_t, n_classes=ds.n_classes, **kwargs[ModelConfig]),
             loss=LossConfig(**kwargs[LossConfig]),
-            seeds=tuple(range(resolved["seeds"])),
             **kwargs[TrainConfig],
         )
     except ValueError as exc:
         parser.error(str(exc))
-    n_params = sum(math.prod(shape) for shape in model.param_shapes(cfg.model).values())
-    if n_params > MAX_PARAMS:
-        parser.error(f"--hidden {cfg.model.hidden} and --fusion-dim {cfg.model.fusion_dim} give "
-                     f"{n_params} parameters per run, more than {MAX_PARAMS}")
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -52,9 +52,9 @@ def _soft_labels(votes: np.ndarray) -> np.ndarray:
 class Dataset:
     """Columns of per-sample data; row i belongs to fold i % fold_count.
 
-    `y` (soft labels) is derived from `votes` once, at construction.
-    `sha256` is the hex digest of the file `load_jsonl` read the rows from,
-    None for a dataset made in memory.
+    Construction checks the columns (>= 2 classes and >= 1 feature per modality, finite features, non-negative
+    signed-integer votes whose row totals lie in [1, 2**63)), then derives `y` (soft labels) from `votes` once.
+    `sha256` is the hex digest of the file `load_jsonl` read the rows from, None for a dataset made in memory.
     """
 
     ids: np.ndarray
@@ -71,6 +71,19 @@ class Dataset:
             raise ValueError("dataset columns must have the same number of rows")
         if 0 < len(self.ids) < self.fold_count:
             raise ValueError("folds must partition the samples with every fold non-empty")
+        if self.n_classes < 2 or self.dim_a < 1 or self.dim_t < 1:
+            raise ValueError("a dataset needs >= 2 classes and >= 1 feature per modality")
+        if not (np.isfinite(self.h_a).all() and np.isfinite(self.h_t).all()):
+            raise ValueError("features must be finite")
+        if self.votes.dtype.kind != "i" or not (self.votes >= 0).all():
+            raise ValueError("votes must be non-negative integers")
+        total = np.zeros(len(self.votes), dtype=np.uint64)  # each vote < 2**63: a total below 2**63 never wraps
+        for column in self.votes.T.astype(np.uint64):
+            total += column
+            if (total >= 2**63).any():
+                raise ValueError("a row's vote total must be below 2**63")
+        if not (total >= 1).all():
+            raise ValueError("every row needs at least one vote")
         self.y = _soft_labels(self.votes)
 
     def __len__(self):
@@ -311,9 +324,9 @@ def load_jsonl(path) -> Dataset:
     columns are cached in a sidecar `.<name>.amber-cache` next to the file,
     keyed by that digest, so a load of unchanged bytes takes the columns
     from there; otherwise the same bytes are parsed. A sidecar that is
-    missing, unreadable, keyed to other bytes or failing its checks is
-    ignored and rewritten after the parse; where it cannot be written (a
-    read-only directory) the load goes on without it.
+    missing, unreadable, keyed to other bytes or failing its checks (see
+    `_read_cache`) is ignored and rewritten after the parse; where it cannot
+    be written (a read-only directory) the load goes on without it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -456,10 +469,10 @@ def _cache_bytes(ds):
 def _read_cache(cache, digest):
     """The dataset a sidecar holds for the bytes of `digest`, or None.
 
-    The file is read with one `read`. The columns pass the checks a parse
-    makes of them again: shapes (the body holds exactly the bytes they
-    need), finite features, non-negative votes whose row totals lie in
-    [1, 2**63), unique non-empty ids and at least `folds` rows.
+    The file is read with one `read`. A header of another format, digest or
+    key set, dims or folds that are not non-negative integers, ids that are
+    not unique non-empty strings or fewer than `folds`, a body of other
+    length than the columns need, and columns `Dataset` rejects are each a miss.
     """
     try:
         with open(cache, "rb") as fh:
@@ -472,29 +485,18 @@ def _read_cache(cache, digest):
     if blob["format"] != CACHE_FORMAT or blob["sha256"] != digest:
         return None
     n_classes, dim_a, dim_t, folds, ids = (blob[key] for key in ("C", "dim_a", "dim_t", "folds", "ids"))
-    if any(type(v) is not int for v in (n_classes, dim_a, dim_t, folds)) or not isinstance(ids, list):
+    if any(type(v) is not int or v < 0 for v in (n_classes, dim_a, dim_t, folds)) or not isinstance(ids, list):
         return None
     rows = len(ids)
-    if n_classes < 2 or dim_a < 1 or dim_t < 1 or not 1 <= folds <= rows:
-        return None
-    if not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows:
-        return None
-    if len(data) - end - 1 != 8 * rows * (dim_a + dim_t + n_classes):
+    if (not 1 <= folds <= rows or not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows
+            or len(data) - end - 1 != 8 * rows * (dim_a + dim_t + n_classes)):
         return None
     columns, offset = [], end + 1
     for dtype, width in (("<f8", dim_a), ("<f8", dim_t), ("<i8", n_classes)):
         raw = np.frombuffer(data, dtype=dtype, count=rows * width, offset=offset)
         columns.append(raw.astype(raw.dtype.newbyteorder("=")).reshape(rows, width))  # a writable copy
         offset += raw.nbytes
-    h_a, h_t, votes = columns
-    if not (np.isfinite(h_a).all() and np.isfinite(h_t).all() and (votes >= 0).all()):
+    try:
+        return Dataset(np.array(ids, dtype=object), *columns, folds, digest)
+    except ValueError:
         return None
-    # each vote is below 2**63, so a running total below 2**63 never wraps in uint64
-    total = np.zeros(rows, dtype=np.uint64)
-    for column in votes.T.astype(np.uint64):
-        total += column
-        if (total >= 2**63).any():
-            return None
-    if not (total >= 1).all():
-        return None
-    return Dataset(np.array(ids, dtype=object), h_a, h_t, votes, folds, digest)

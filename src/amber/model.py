@@ -42,6 +42,10 @@ QUIET_OVERFLOW = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 # rows per block of `predict`'s fusion and hidden layer: one 256 x 256 float64 array is 512 KB
 PREDICT_ROWS = 256
 
+# Parameters of one run, counted over param_shapes: 8 bytes each in the parameters, the gradients and both
+# AdamW moments (3.2 GB at the bound). A model numpy cannot allocate would otherwise fail mid-run.
+MAX_PARAMS = 100_000_000
+
 
 @dataclass
 class ModelConfig:
@@ -60,6 +64,10 @@ class ModelConfig:
             raise ValueError("n_classes must be >= 2")
         if self.student not in MODALITIES:
             raise ValueError(f"student must be one of {MODALITIES}, got {self.student!r}")
+        n_params = sum(math.prod(shape) for shape in param_shapes(self).values())
+        if n_params > MAX_PARAMS:
+            raise ValueError(f"hidden {self.hidden} and fusion_dim {self.fusion_dim} give "
+                             f"{n_params} parameters per run, more than {MAX_PARAMS}")
 
     def head_input_dim(self, modality):
         return {"a": self.dim_a, "t": self.dim_t, "at": self.fusion_dim}[modality]
@@ -261,10 +269,11 @@ def _decode_array(text, shape, name) -> np.ndarray:
 def load_checkpoint(path):
     """(config, params, provenance) of a checkpoint written by `save_checkpoint`.
 
-    A file of any other structure, keys, entry types, values or shapes, or whose
-    provenance has a `system` that is not a string, a `fold`, `seed` or `folds`
-    that is not an integer or a non-finite number anywhere, raises one
-    `DataValidationError` naming the file.
+    A file of any other structure, keys, entry types, values or shapes, whose
+    config `ModelConfig` rejects (one over `MAX_PARAMS` too, before any
+    parameter is decoded), or whose provenance has a `system` that is not a
+    string, a `fold`, `seed` or `folds` that is not an integer or a non-finite
+    number anywhere, raises one `DataValidationError` naming the file.
     """
     try:
         blob = read_json(Path(path).read_bytes())

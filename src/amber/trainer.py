@@ -27,6 +27,7 @@ from .model import MODALITIES, QUIET_OVERFLOW, ModelConfig, forward_all, init_pa
 OBJECTIVES = ("amber", "cbce")
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW moment decay rates and epsilon
+MAX_SEEDS = 10_000  # every seed is one run per fold; cross_validate builds the run list up front
 
 
 @dataclass
@@ -38,7 +39,7 @@ class TrainConfig:
     weight_decay: float = 1e-2
     batch: int = 128
     epochs: int = 30
-    seeds: tuple = (0, 1, 2, 3, 4)
+    seeds: int = 5  # runs seeds 0..seeds-1 on every fold
     n_bins: int = 4
 
     def __post_init__(self):
@@ -52,9 +53,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        self.seeds = tuple(int(s) for s in self.seeds)
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
+        if not 1 <= self.seeds <= MAX_SEEDS:
+            raise ValueError(f"seeds must lie in [1, {MAX_SEEDS}]")
 
 
 @dataclass
@@ -231,7 +231,7 @@ def cross_validate(ds: Dataset, cfg: TrainConfig, sink, jobs: int = 1) -> None:
 
     A worker process that dies mid-run raises `WorkerDiedError`.
     """
-    cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in cfg.seeds]
+    cells = [(ds, fold, seed, cfg) for fold in range(ds.fold_count) for seed in range(cfg.seeds)]
     if jobs <= 1:
         for record in map(train_one, *zip(*cells)):
             sink(record)

@@ -211,7 +211,7 @@ _train_one = trainer.train_one
 
 
 def _abort_in_last_run(ds, fold, seed, cfg):
-    if (fold, seed) == (ds.fold_count - 1, cfg.seeds[-1]):
+    if (fold, seed) == (ds.fold_count - 1, cfg.seeds - 1):
         raise NumericalAbortError("injected into the last run")
     return _train_one(ds, fold, seed, cfg)
 
@@ -393,7 +393,7 @@ def test_train_rejects_more_bins_than_the_smallest_test_fold(dataset, tmp_path, 
     assert main(_train_args(dataset, tmp_path / "r3", **{"--folds": 41})) == 1
     assert "--folds must lie in [3, 40]" in capsys.readouterr().err
     assert main(_train_args(dataset, tmp_path / "r4", **{"--bins": 1})) == 1
-    assert "--bins must be >= 2" in capsys.readouterr().err
+    assert "n_bins must be >= 2" in capsys.readouterr().err
     assert not any((tmp_path / run).exists() for run in ("r1", "r2", "r3", "r4"))
 
 

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,50 @@ def test_synth_config_validation():
                 {"ambiguity_alpha": 1e308}, {"n_classes": 1000, "ambiguity_alpha": 1e306}):
         with pytest.raises(ValueError):
             SynthConfig(**{**base, **bad})
+
+
+def _columns():
+    """Valid columns of a 3-row, 3-class in-memory dataset, keyed by `Dataset` field."""
+    return {"ids": np.array(["s0", "s1", "s2"], dtype=object), "h_a": np.zeros((3, 2)), "h_t": np.ones((3, 1)),
+            "votes": np.array([[1, 2, 0], [3, 0, 1], [0, 4, 4]]), "fold_count": 3}
+
+
+def _set(key, index, value):
+    def edit(columns):
+        columns[key][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, rule", [
+    (_set("h_a", (1, 0), np.nan), "features must be finite"),
+    (_set("h_t", (2, 0), -np.inf), "features must be finite"),
+    (_set("votes", (0, 1), -1), "votes must be non-negative integers"),
+    (lambda columns: columns.update(votes=columns["votes"] / 2), "votes must be non-negative integers"),
+    (_set("votes", 1, 0), "every row needs at least one vote"),
+    (_set("votes", 2, [2**62, 2**62, 0]), r"vote total must be below 2\*\*63"),
+    # each vote fits int64; their total, 2**64 + 1, wraps to 1 in a 64-bit sum
+    (_set("votes", 2, [2**63 - 1, 2**63 - 1, 3]), r"vote total must be below 2\*\*63"),
+    (lambda columns: columns.update(votes=columns["votes"][:, :1]), ">= 2 classes"),
+    (lambda columns: columns.update(h_t=np.ones((3, 0))), ">= 1 feature per modality"),
+], ids=["nan-feature", "inf-feature", "negative-vote", "fractional-votes", "zero-vote-row", "vote-total-2**63",
+        "vote-total-2**64+1", "one-class", "no-text-feature"])
+def test_an_in_memory_dataset_rejects_invalid_columns(edit, rule):
+    assert Dataset(**_columns()).y.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
+    columns = _columns()
+    edit(columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rule raises before any soft label is computed
+        with pytest.raises(ValueError, match=rule):
+            Dataset(**columns)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_gen_whose_noise_overflows_a_feature_exits_1_and_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    assert cli_main(["gen", "--samples", "20", "--classes", "2", "--dim-a", "2", "--dim-t", "2",
+                     "--noise", "1.7e308", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.endswith("amber: error: features must be finite\n")
+    assert os.listdir(tmp_path) == []
 
 
 def _open_failing_half_way(path, mode, **kwargs):

@@ -297,6 +297,21 @@ def test_checkpoint_rejects_wrong_format(tmp_path):
             load_checkpoint(path)
 
 
+def test_checkpoint_over_the_parameter_budget_is_rejected_before_any_parameter_is_decoded(tmp_path, monkeypatch):
+    cfg = ModelConfig(dim_a=3, dim_t=2, n_classes=3, hidden=4, fusion_dim=3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, cfg, init_params(cfg, 1), provenance={"fold": 0})
+    blob = json.loads(path.read_text())
+    blob["config"].update(hidden=20000, fusion_dim=20000)  # 400,000,000 weights in the fused head's first layer
+    path.write_text(json.dumps(blob))
+    monkeypatch.setattr(model, "_decode_array", lambda *args: pytest.fail("decoded a parameter"))
+    with pytest.raises(DataValidationError, match="parameters per run, more than 100000000") as err:
+        load_checkpoint(path)
+    assert err.value.path == path
+    with pytest.raises(ValueError, match="hidden 20000 and fusion_dim 20000 give"):
+        ModelConfig(**blob["config"])
+
+
 _FUZZ_CFG = ModelConfig(dim_a=2, dim_t=3, n_classes=2, hidden=3, fusion_dim=2)
 _FUZZ_BLOB = json.loads("".join(model._checkpoint_text(
     _FUZZ_CFG, init_params(_FUZZ_CFG, 5), {"system": "amber", "fold": 1, "seed": 0})))

@@ -215,7 +215,7 @@ def test_non_finite_loss_aborts_with_coordinates():
 
 def test_cross_validate_shape_and_aggregate():
     ds = _dataset(n_samples=150)
-    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0, 1))
+    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=2)
     records = []
     assert cross_validate(ds, cfg, records.append) is None
     agg = aggregate([r.report for r in records])
@@ -227,21 +227,23 @@ def test_cross_validate_shape_and_aggregate():
     assert abs(agg["metrics"]["JS"]["mean"] - hand) <= 1e-15
 
 
-def test_duplicate_seeds_have_zero_std():
+def test_cross_validation_reruns_give_equal_records():
     ds = _dataset(n_samples=150)
-    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(7, 7))
-    records = []
-    cross_validate(ds, cfg, records.append)
-    per_fold = {}
-    for r in records:
-        per_fold.setdefault(r.report.fold, []).append(r.report.metrics["JS"])
-    for fold, values in per_fold.items():
-        assert values[0] == values[1]
+    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=2)
+    first, second = [], []
+    cross_validate(ds, cfg, first.append)
+    cross_validate(ds, cfg, second.append)
+    assert len(first) == len(second) == ds.fold_count * 2
+    for a, b in zip(first, second):
+        assert (a.epochs, a.report) == (b.epochs, b.report)
+        assert a.selected_params.keys() == b.selected_params.keys()
+        for name in a.selected_params:
+            assert np.array_equal(a.selected_params[name], b.selected_params[name])
 
 
 def test_parallel_and_serial_cross_validation_agree():
     ds = _dataset(n_samples=150)
-    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=(0,))
+    cfg = TrainConfig(model=_model_cfg(), epochs=2, batch=64, seeds=1)
     serial_records, par_records = [], []
     cross_validate(ds, cfg, serial_records.append, jobs=1)
     cross_validate(ds, cfg, par_records.append, jobs=2)
@@ -271,7 +273,7 @@ def test_cross_validate_asks_for_no_more_workers_than_runs(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     ds = _dataset(n_samples=60)
-    cfg = TrainConfig(model=_model_cfg(), epochs=1, batch=64, seeds=(0,))
+    cfg = TrainConfig(model=_model_cfg(), epochs=1, batch=64, seeds=1)
     records = []
     cross_validate(ds, cfg, records.append, jobs=10**6)
     assert asked == [len(records)] == [ds.fold_count]
@@ -283,8 +285,10 @@ def test_train_config_validation():
         TrainConfig(model=mc, objective="hinge")
     with pytest.raises(ValueError):
         TrainConfig(model=mc, lr=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(model=mc, seeds=())
+    for seeds in (0, 10_001):
+        with pytest.raises(ValueError, match=r"seeds must lie in \[1, 10000\]"):
+            TrainConfig(model=mc, seeds=seeds)
+    assert TrainConfig(model=mc, seeds=10_000).seeds == 10_000
     with pytest.raises(ValueError, match="n_bins must be >= 2"):  # before any run trains
         TrainConfig(model=mc, n_bins=1)
 
@@ -300,7 +304,7 @@ def test_train_one_frees_each_batch_graph_and_interior_gradients(objective):
     batch, width = 600, 256
     ds = _dataset(n_samples=3000, dim_a=16, dim_t=16, seed=5)
     cfg = TrainConfig(model=ModelConfig(dim_a=16, dim_t=16, n_classes=4, hidden=width, fusion_dim=width),
-                      objective=objective, batch=batch, epochs=3, seeds=(0,))
+                      objective=objective, batch=batch, epochs=3, seeds=1)
     units = traced_peak_bytes(lambda: train_one(ds, 0, 0, cfg)) / (batch * width * 8)
     assert units <= {"amber": 17.0, "cbce": 15.0}[objective], f"train_one peaked at {units:.2f} units"
 
@@ -354,7 +358,7 @@ def _same_run(a, b):
 def test_cbce_student_only_forward_trains_the_bytes_of_an_all_heads_forward(student, monkeypatch):
     ds = _dataset()
     cfg = TrainConfig(model=ModelConfig(dim_a=6, dim_t=6, n_classes=4, hidden=16, fusion_dim=16, student=student),
-                      objective="cbce", batch=32, epochs=3, seeds=(0,))
+                      objective="cbce", batch=32, epochs=3, seeds=1)
     built = []
 
     def spy(*args):

@@ -6,9 +6,11 @@ as a string. The benchmark's tracing tables name their targets as strings
 ("trainer", "Dataset.matrices"), so a string in `bench/` counts as a use.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import amber
@@ -85,3 +87,16 @@ def test_src_without_the_benchmark_leaves_only_the_bench_only_code_unused():
     # these live only because `bench/` times or counts them; any other name here has lost its last caller in src
     assert sorted(unused(_trees(SRC), {})) == ["autodiff.matmul", "autodiff.relu", "autodiff.sigmoid",
                                                "distlib.SoftLabel"]
+
+
+# types whose attributes src reads; `unused` takes a read of `.mean` on any of them as a use of a method `mean`
+_FOREIGN_TYPES = (np.ndarray, np.random.Generator, dict, list, tuple, str, bytes, set, Path,
+                  argparse.ArgumentParser, Exception, int, float)
+
+
+def test_no_src_method_but_the_parser_override_shares_a_name_with_an_attribute_of_a_foreign_type():
+    # a dead method named like one of these attributes would pass the tests above as used
+    foreign = set().union(*map(dir, _FOREIGN_TYPES))
+    shared = {qualified for qualified, definition, method in _definitions(_trees(SRC))
+              if method and definition.name in foreign}
+    assert shared == {"cli._Parser.error"}
