@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, evalreport, model, trainer
@@ -218,7 +218,7 @@ def cmd_train(ns, parser):
     if resolved["folds"] is not None:
         if not 3 <= resolved["folds"] <= len(ds):
             parser.error(f"--folds must lie in [3, {len(ds)}], the rows of the dataset")
-        ds = ds.with_fold_count(resolved["folds"])
+        ds = replace(ds, fold_count=resolved["folds"])
     elif ds.fold_count < 3:
         raise DataValidationError(
             f"dataset declares {ds.fold_count} folds; training needs >= 3", path=ns.data
@@ -285,7 +285,7 @@ def cmd_eval(ns, parser):
         if not {"fold", "folds"} <= provenance.keys():
             raise DataValidationError("no fold provenance; use --split all", path=ns.checkpoint)
         try:  # the run's own partition
-            train, val, test = fold_split(ds.with_fold_count(provenance["folds"]), provenance["fold"])
+            train, val, test = fold_split(replace(ds, fold_count=provenance["folds"]), provenance["fold"])
         except ValueError as exc:
             raise DataValidationError(str(exc), path=ns.data) from None
         subset = {"train": train, "val": val, "test": test}[ns.split]
@@ -337,6 +337,12 @@ def cmd_compare(ns, parser):
             raise DataValidationError(f"{name} (bin {scope}) differs from baseline {ns.baseline} "
                                       "by more than the float range", path=ns.candidate)
 
+    if ns.out:  # written before the table is printed, so a failed write prints nothing
+        header = ["bin", "metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
+        write_text_atomic(ns.out, evalreport.csv_text(
+            header, [[scope, name, *("" if x is None else repr(x) for x in numbers)]
+                     for scope, name, *numbers in rows]))
+
     def cell(x, spec):
         return "-" if x is None else format(x, spec)
 
@@ -344,12 +350,6 @@ def cmd_compare(ns, parser):
         ("bin", "metric", "baseline", "candidate", "delta", "improvement"),
         [(str(scope), name, cell(b, ".4f"), cell(c, ".4f"), cell(delta, "+.4f"), cell(rel, "+.1%"))
          for scope, name, b, c, delta, rel in rows]))
-
-    if ns.out:
-        header = ["bin", "metric", "baseline_mean", "candidate_mean", "delta", "relative_improvement"]
-        write_text_atomic(ns.out, evalreport.csv_text(
-            header, [[scope, name, *("" if x is None else repr(x) for x in numbers)]
-                     for scope, name, *numbers in rows]))
     return EXIT_OK
 
 

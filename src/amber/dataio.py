@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,9 @@ def _soft_labels(votes: np.ndarray) -> np.ndarray:
 class Dataset:
     """Columns of per-sample data; row i belongs to fold i % fold_count.
 
-    Construction checks the columns (>= 2 classes and >= 1 feature per modality, finite features, non-negative
-    signed-integer votes whose row totals lie in [1, 2**63)), then derives `y` (soft labels) from `votes` once.
+    Construction checks the partition (1 <= fold_count <= rows: no dataset is empty) and the columns (>= 2 classes
+    and >= 1 feature per modality, finite features, non-negative signed-integer votes whose row totals lie in
+    [1, 2**63)), then derives `y` (soft labels) from `votes` once. `dataclasses.replace` re-partitions.
     `sha256` is the hex digest of the file `load_jsonl` read the rows from, None for a dataset made in memory.
     """
 
@@ -65,11 +66,9 @@ class Dataset:
     sha256: str | None = None
 
     def __post_init__(self):
-        if self.fold_count < 1:
-            raise ValueError("fold_count must be >= 1")
         if not len(self.ids) == len(self.h_a) == len(self.h_t) == len(self.votes):
             raise ValueError("dataset columns must have the same number of rows")
-        if 0 < len(self.ids) < self.fold_count:
+        if not 1 <= self.fold_count <= len(self.ids):
             raise ValueError("folds must partition the samples with every fold non-empty")
         if self.n_classes < 2 or self.dim_a < 1 or self.dim_t < 1:
             raise ValueError("a dataset needs >= 2 classes and >= 1 feature per modality")
@@ -104,12 +103,6 @@ class Dataset:
     def matrices(self):
         """The (h_a, h_t, y) matrices."""
         return self.h_a, self.h_t, self.y
-
-    def with_fold_count(self, fold_count: int) -> "Dataset":
-        """Re-partition by record order into a different number of folds."""
-        if not 1 <= fold_count <= len(self):
-            raise ValueError(f"fold_count must be in [1, {len(self)}]")
-        return replace(self, fold_count=fold_count)
 
 
 @dataclass
@@ -194,9 +187,10 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
     c_t = np.argmax(pi, axis=1)
     c_a = (c_t + offset) % cfg.n_classes
-    h_a *= sd_a
+    with np.errstate(over="ignore"):  # a feature that overflows is refused by `Dataset` as not finite
+        h_a *= sd_a
+        h_t *= sd_t
     h_a += anchors_a[c_a]
-    h_t *= sd_t
     h_t += anchors_t[c_t]
     order = rng.permutation(n)
     ids = np.array([f"synth-{i:06d}" for i in range(n)], dtype=object)
@@ -471,8 +465,8 @@ def _read_cache(cache, digest):
 
     The file is read with one `read`. A header of another format, digest or
     key set, dims or folds that are not non-negative integers, ids that are
-    not unique non-empty strings or fewer than `folds`, a body of other
-    length than the columns need, and columns `Dataset` rejects are each a miss.
+    not unique non-empty strings, a body of other length than the columns
+    need, and columns or folds `Dataset` rejects are each a miss.
     """
     try:
         with open(cache, "rb") as fh:
@@ -488,7 +482,7 @@ def _read_cache(cache, digest):
     if any(type(v) is not int or v < 0 for v in (n_classes, dim_a, dim_t, folds)) or not isinstance(ids, list):
         return None
     rows = len(ids)
-    if (not 1 <= folds <= rows or not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows
+    if (not set(map(type, ids)) <= {str} or "" in ids or len(set(ids)) != rows
             or len(data) - end - 1 != 8 * rows * (dim_a + dim_t + n_classes)):
         return None
     columns, offset = [], end + 1

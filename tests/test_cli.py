@@ -312,15 +312,16 @@ def test_eval_splits_with_the_fold_count_the_run_trained_with(dataset, tmp_path,
     assert sum(row["count"] for row in evaluated["bins"]) == 8
     assert json.loads(ckpt.read_text())["provenance"]["folds"] == 5
     capsys.readouterr()
-    for folds in (2, 41):  # fold_split needs 3 folds; the dataset has 40 rows
+    for folds, rule in [(2, "cross-validation splits need at least 3 folds"),  # the dataset has 40 rows
+                        (41, "folds must partition the samples with every fold non-empty")]:
         blob = json.loads(ckpt.read_text())
         blob["provenance"]["folds"] = folds
         bad = tmp_path / f"folds-{folds}.json"
         bad.write_text(json.dumps(blob))
         out_dir = tmp_path / f"ev-{folds}"
-        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset), "--out-dir", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("amber: data validation error: ") and err.count("\n") == 1, err
+        assert main(["eval", "--checkpoint", str(bad), "--data", str(dataset), "--split", "test",
+                     "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"amber: data validation error: {dataset}: {rule}\n"
         assert not out_dir.exists()
 
 
@@ -755,6 +756,18 @@ def test_a_numerical_abort_prints_one_stderr_line(dataset, tmp_path, command, jo
     assert proc.stderr.startswith("amber: numerical abort: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
+def test_gen_whose_noise_overflows_prints_only_its_usage_error(tmp_path):
+    # a fresh interpreter with warnings shown, so numpy's RuntimeWarnings would reach stderr
+    args = ["gen", "--samples", 20, "--classes", 2, "--dim-a", 2, "--dim-t", 2, "--noise", 1.7e308,
+            "--out", tmp_path / "x.jsonl"]
+    proc = subprocess.run([sys.executable, "-m", "amber.cli", *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "default"}, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "amber: error: features must be finite", proc.stderr
+    assert os.listdir(tmp_path) == []
+
+
 def _exit_in_last_run(checkpoints, ds, fold, seed, cfg):
     """Train every run but the last, which exits its worker once every earlier checkpoint is written."""
     if fold < ds.fold_count - 1:
@@ -989,7 +1002,8 @@ def test_missing_dataset_file_exits_2(tmp_path, dataset, capsys):
     ]:
         before = sorted(os.listdir(tmp_path))
         assert main(args + ["--out", str(out)]) == 2, args
-        assert capsys.readouterr().err == f"amber: [Errno {code}] {os.strerror(code)}: '{out}'\n", args
+        captured = capsys.readouterr()  # the CSV is written before the table is printed
+        assert captured.out == "" and captured.err == f"amber: [Errno {code}] {os.strerror(code)}: '{out}'\n", args
         assert sorted(os.listdir(tmp_path)) == before and not list(a_folder.iterdir()), args
 
 

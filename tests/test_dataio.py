@@ -2,6 +2,7 @@ import errno
 import json
 import os
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,19 +259,23 @@ def test_fold_split_validation():
     )
     with pytest.raises(ValueError):
         fold_split(ds, 0)
-    ds5 = ds.with_fold_count(5)
+    ds5 = replace(ds, fold_count=5)
     with pytest.raises(ValueError):
         fold_split(ds5, 5)
 
 
-def test_with_fold_count_repartitions_positionally():
+def test_replace_fold_count_repartitions_positionally():
     ds = generate_synthetic(
         SynthConfig(n_samples=12, n_classes=3, dim_a=3, dim_t=3, n_raters=5,
                     ambiguity_alpha=1.0, conflict_rate=0.0, noise_sigma=0.2, seed=2, fold_count=3)
     )
-    ds4 = ds.with_fold_count(4)
+    ds4 = replace(ds, fold_count=4)
     assert list(np.arange(len(ds4)) % ds4.fold_count) == [i % 4 for i in range(12)]
     assert ds4.n_classes == ds.n_classes
+    assert ds4.y.tobytes() == ds.y.tobytes() and ds4.ids.tolist() == ds.ids.tolist()
+    for folds in (0, 13):
+        with pytest.raises(ValueError, match="folds must partition the samples with every fold non-empty"):
+            replace(ds, fold_count=folds)
 
 
 def test_synth_config_validation():
@@ -292,6 +297,9 @@ def _columns():
             "votes": np.array([[1, 2, 0], [3, 0, 1], [0, 4, 4]]), "fold_count": 3}
 
 
+_PARTITION_RULE = "folds must partition the samples with every fold non-empty"
+
+
 def _set(key, index, value):
     def edit(columns):
         columns[key][index] = value
@@ -309,8 +317,13 @@ def _set(key, index, value):
     (_set("votes", 2, [2**63 - 1, 2**63 - 1, 3]), r"vote total must be below 2\*\*63"),
     (lambda columns: columns.update(votes=columns["votes"][:, :1]), ">= 2 classes"),
     (lambda columns: columns.update(h_t=np.ones((3, 0))), ">= 1 feature per modality"),
+    (lambda columns: columns.update(fold_count=0), _PARTITION_RULE),
+    (lambda columns: columns.update(fold_count=4), _PARTITION_RULE),
+    # no rows: `cross_validate` on such a dataset would end in an IndexError
+    (lambda columns: columns.update({key: columns[key][:0] for key in ("ids", "h_a", "h_t", "votes")}),
+     _PARTITION_RULE),
 ], ids=["nan-feature", "inf-feature", "negative-vote", "fractional-votes", "zero-vote-row", "vote-total-2**63",
-        "vote-total-2**64+1", "one-class", "no-text-feature"])
+        "vote-total-2**64+1", "one-class", "no-text-feature", "zero-folds", "more-folds-than-rows", "no-rows"])
 def test_an_in_memory_dataset_rejects_invalid_columns(edit, rule):
     assert Dataset(**_columns()).y.sum(axis=1).tolist() == [1.0, 1.0, 1.0]
     columns = _columns()
@@ -321,13 +334,21 @@ def test_an_in_memory_dataset_rejects_invalid_columns(edit, rule):
             Dataset(**columns)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_gen_whose_noise_overflows_a_feature_exits_1_and_writes_no_file(tmp_path, capsys):
     out = tmp_path / "x.jsonl"
     assert cli_main(["gen", "--samples", "20", "--classes", "2", "--dim-a", "2", "--dim-t", "2",
                      "--noise", "1.7e308", "--out", str(out)]) == 1
     assert capsys.readouterr().err.endswith("amber: error: features must be finite\n")
     assert os.listdir(tmp_path) == []
+
+
+def test_generate_synthetic_whose_noise_overflows_raises_without_a_warning():
+    cfg = SynthConfig(n_samples=20, n_classes=2, dim_a=2, dim_t=2, noise_sigma=1.7e308)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="features must be finite"):
+            generate_synthetic(cfg)
+    assert caught == []
 
 
 def _open_failing_half_way(path, mode, **kwargs):

@@ -325,6 +325,8 @@ _DAMAGE = {
     "missing-header-key": lambda p: _write_sidecar(p, {k: v for k, v in _read_sidecar(p)[0].items() if k != "folds"},
                                                    _read_sidecar(p)[1]),
     "more-folds-than-rows": lambda p: _edit_sidecar(p, folds=7),
+    "zero-folds": lambda p: _edit_sidecar(p, folds=0),
+    "no-rows": lambda p: _write_sidecar(p, {**_read_sidecar(p)[0], "ids": []}, b""),
     # widths that sum to the stored ones, so the body length matches
     "negative-dim": lambda p: _edit_sidecar(p, dim_a=-1, dim_t=5),
     "zero-dim": lambda p: _edit_sidecar(p, dim_a=0, dim_t=4),
